@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -60,7 +61,7 @@ func main() {
 	}
 	switch *format {
 	case "csv":
-		if err := analysis.RunsFrame(runs).WriteCSV(w); err != nil {
+		if err := writeCSV(w, runs); err != nil {
 			log.Fatal(err)
 		}
 	case "json":
@@ -70,4 +71,9 @@ func main() {
 	default:
 		log.Fatalf("unknown format %q (want csv or json)", *format)
 	}
+}
+
+// writeCSV writes runs as one CSV row each with every derived metric.
+func writeCSV(w io.Writer, runs []*model.Run) error {
+	return analysis.RunsFrame(runs).WriteCSV(w)
 }
