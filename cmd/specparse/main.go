@@ -8,13 +8,15 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
+	"strconv"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/report"
@@ -56,7 +58,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	switch *format {
@@ -71,9 +72,58 @@ func main() {
 	default:
 		log.Fatalf("unknown format %q (want csv or json)", *format)
 	}
+	if w != os.Stdout {
+		if err := w.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
 }
 
-// writeCSV writes runs as one CSV row each with every derived metric.
+// csvHeader names the CSV columns, one per derived metric, in order.
+var csvHeader = []string{
+	"id", "vendor", "class", "os", "year", "frac", "sockets", "nodes",
+	"cores", "threads", "ghz", "tdp", "mem_gb", "full_w", "idle_w",
+	"idle_frac", "w_socket_100", "w_socket_70", "w_socket_20",
+	"overall_eff", "ext_idle_w", "idle_quot", "releff_60", "releff_70",
+	"releff_80", "releff_90",
+}
+
+// writeCSV writes a header and then one row per run with every
+// derived metric the analyses use. Floats are written in their
+// shortest round-trip form and NaN as an empty cell.
 func writeCSV(w io.Writer, runs []*model.Run) error {
-	return analysis.RunsFrame(runs).WriteCSV(w)
+	cw := csv.NewWriter(w)
+	cw.Write(csvHeader)
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return fmt.Errorf("write header: %w", err)
+	}
+	itoa := func(v int) string { return strconv.Itoa(v) }
+	ftoa := func(v float64) string {
+		if math.IsNaN(v) {
+			return ""
+		}
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	for i, r := range runs {
+		rec := []string{
+			r.ID, r.CPUVendor.String(), r.CPUClass.String(), r.OSFamily.String(),
+			itoa(r.HWAvail.Year), ftoa(r.HWAvail.Frac()),
+			itoa(r.SocketsPerNode), itoa(r.Nodes), itoa(r.TotalCores), itoa(r.TotalThreads),
+			ftoa(r.NominalGHz), ftoa(r.TDPWatts), itoa(r.MemGB),
+			ftoa(r.FullLoadPower()), ftoa(r.IdlePower()), ftoa(r.IdleFraction()),
+			ftoa(r.PowerPerSocketAt(100)), ftoa(r.PowerPerSocketAt(70)), ftoa(r.PowerPerSocketAt(20)),
+			ftoa(r.OverallOpsPerWatt()), ftoa(r.ExtrapolatedIdlePower()), ftoa(r.ExtrapolatedIdleQuotient()),
+			ftoa(r.RelativeEfficiencyAt(60)), ftoa(r.RelativeEfficiencyAt(70)),
+			ftoa(r.RelativeEfficiencyAt(80)), ftoa(r.RelativeEfficiencyAt(90)),
+		}
+		if err := cw.Write(rec); err != nil {
+			return fmt.Errorf("write row %d (%s): %w", i, r.ID, err)
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return fmt.Errorf("write row %d: %w", len(runs)-1, err)
+	}
+	return nil
 }

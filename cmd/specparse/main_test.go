@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -39,5 +41,33 @@ func TestCSVDigests(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("%s: sha256 %s, want %s", tc.stage, got, tc.want)
 		}
+	}
+}
+
+// failAfter accepts n bytes and then fails every write.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		w := f.n
+		f.n = 0
+		return w, errors.New("disk full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+func TestCSVWriteErrorNamesPosition(t *testing.T) {
+	ds, err := core.New().Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = writeCSV(&failAfter{}, ds.Comparable)
+	if err == nil || !strings.Contains(err.Error(), "header") || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("failing header write: got %v", err)
+	}
+	err = writeCSV(&failAfter{n: 16 << 10}, ds.Comparable)
+	if err == nil || !strings.Contains(err.Error(), "row ") || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("failing row write: got %v", err)
 	}
 }

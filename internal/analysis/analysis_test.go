@@ -354,27 +354,6 @@ func TestRecentFeaturesS6(t *testing.T) {
 	}
 }
 
-func TestRunsFrameShape(t *testing.T) {
-	ds := dataset(t)
-	f := RunsFrame(ds.Comparable)
-	if f.Len() != 676 {
-		t.Fatalf("frame rows = %d", f.Len())
-	}
-	for _, col := range []string{
-		"id", "vendor", "year", "sockets", "overall_eff", "idle_frac",
-		"idle_quot", "w_socket_100", "releff_70",
-	} {
-		if !f.Has(col) {
-			t.Errorf("missing column %q", col)
-		}
-	}
-	// Spot-check one derived column against the model.
-	overall := f.MustFloats("overall_eff")
-	if math.Abs(overall[0]-ds.Comparable[0].OverallOpsPerWatt()) > 1e-9 {
-		t.Error("overall_eff column mismatches model computation")
-	}
-}
-
 func TestFunnelString(t *testing.T) {
 	ds := dataset(t)
 	s := ds.Funnel.String()

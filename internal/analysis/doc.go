@@ -5,7 +5,6 @@
 // post-2021 feature comparison).
 //
 // Every public function takes parsed model.Run slices (usually via
-// Dataset) and returns plain structs or frame.Frame tables that the
-// plot package renders and the bench harness prints, so the same code
+// Dataset) and returns plain structs that the plot package renders and the bench harness prints, so the same code
 // path regenerates each table and figure of the paper.
 package analysis
