@@ -32,8 +32,16 @@ func TestMetricChangepointErrors(t *testing.T) {
 
 func TestYearlyMeansByVendor(t *testing.T) {
 	ds := dataset(t)
-	amd := YearlyMeansByVendor(ds.Comparable, model.VendorAMD, (*model.Run).OverallOpsPerWatt)
-	intel := YearlyMeansByVendor(ds.Comparable, model.VendorIntel, (*model.Run).OverallOpsPerWatt)
+	byVendor := func(v model.CPUVendor) []YearlyStat {
+		var sub []*model.Run
+		for _, r := range ds.Comparable {
+			if r.CPUVendor == v {
+				sub = append(sub, r)
+			}
+		}
+		return YearlyMeans(sub, (*model.Run).OverallOpsPerWatt)
+	}
+	amd, intel := byVendor(model.VendorAMD), byVendor(model.VendorIntel)
 	if len(amd) == 0 || len(intel) == 0 {
 		t.Fatal("empty vendor series")
 	}

@@ -27,7 +27,7 @@ import (
 type Engine struct {
 	src     Source
 	workers int
-	obs     Observer
+	sink    Sink
 
 	dsOnce sync.Once
 	dsDone atomic.Bool
@@ -92,54 +92,63 @@ func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
 
-// Observer receives engine lifecycle timings, for serving layers that
-// aggregate them (see internal/obs). Nil fields are skipped; non-nil
-// ones must be safe for concurrent use — analyses compute in parallel.
-// Each callback fires exactly once per actual event: Ingest once per
-// engine that streamed its source (concurrent requests that merely
-// waited on the shared sync.Once do not re-fire it), Compute once per
-// memoized (analysis, params) computation — memo hits are silent.
-type Observer struct {
-	// Ingest is called after the corpus is streamed and classified:
-	// duration of the whole ingestion, runs delivered, and the
-	// ingestion error if any.
-	Ingest func(d time.Duration, runs int, err error)
-	// Compute is called after an analysis function executes (memo
-	// misses only) with the registry name, the canonical parameter
-	// string, the function's own duration (excluding any ingestion it
-	// waited on), and its error.
-	Compute func(name, params string, d time.Duration, err error)
-	// Hit is called when an analysis request finds an existing memo
-	// entry (whether or not its computation has finished yet) — the
-	// cache-hit counterpart of Compute. Fires under no engine lock.
-	Hit func(name, params string)
+// EventKind says which engine lifecycle step an Event reports.
+type EventKind uint8
+
+const (
+	// EventIngest: the corpus was streamed and classified, or failed.
+	EventIngest EventKind = iota + 1
+	// EventCompute: an analysis function executed (a memo miss).
+	EventCompute
+	// EventHit: a request found an existing memo entry, whether or not
+	// its computation had finished yet.
+	EventHit
+	// EventKernel: kernel progress (a k-means iteration, an HAC merge
+	// batch) from an analysis being computed.
+	EventKernel
+)
+
+// Event is one engine lifecycle event. Each fires exactly once per
+// actual occurrence: ingest once per engine that streamed its source
+// (requests that merely waited on the shared sync.Once report
+// nothing), compute once per memoized (analysis, params) computation.
+type Event struct {
+	Kind EventKind
+	// Name and Params identify the analysis of a compute, hit or kernel
+	// event: the registry name and the canonical parameter string.
+	Name, Params string
+	// Source names the corpus source of an ingest event.
+	Source string
+	// Start and End bound the work: the whole ingestion, or the
+	// analysis function alone, excluding any ingestion it waited on. A
+	// kernel event is an instant stamped on receipt (Start == End);
+	// hits carry no times.
+	Start, End time.Time
+	// Runs counts the runs an ingestion delivered (0 when it failed).
+	Runs int
+	// Err is the ingestion or computation error.
+	Err error
+	// Parts holds per-source boundaries of an ingestion whose source
+	// decomposes (see Parted). They are measured only when the
+	// ingesting request carries a sink; otherwise empty.
+	Parts []IngestPart
+	// Kernel is the kernel's own progress report (kernel events).
+	Kernel analysis.KernelEvent
 }
 
-// WithObserver installs lifecycle timing callbacks on the engine.
-func WithObserver(o Observer) Option {
-	return func(e *Engine) { e.obs = o }
-}
+// Sink receives engine events. A sink is set in two places: engine-wide
+// with WithSink, where it sees every event whoever caused it, and per
+// request in Request.Sink, where it sees only what that request paid
+// for — the ingestion if it streamed the corpus, the computation and
+// its kernel progress if it missed the memo, and its own memo hit.
+// Both receive the same Event value. Sinks must be safe for concurrent
+// use (analyses compute in parallel) and must not re-read the clock
+// for an event's times.
+type Sink func(Event)
 
-// TraceHooks threads one request's trace through the engine. Where
-// Observer aggregates per-engine (every event, whoever caused it),
-// TraceHooks attribute per-request: each callback fires only on the
-// request whose computation actually did the work — the sync.Once
-// winner for ingestion, the memo-miss request for compute — so a trace
-// shows what its request paid for, never work it merely waited on.
-// Callbacks receive explicit timestamps; the hook layer owning the span
-// tree must not re-read the clock. All fields are optional.
-type TraceHooks struct {
-	// Ingest fires after corpus ingestion completes, on the request
-	// that streamed it.
-	Ingest func(tr IngestTrace)
-	// Compute fires after an analysis function returns, on the request
-	// that computed it (memo hits are silent).
-	Compute func(tr ComputeTrace)
-	// Kernel receives kernel progress events (per k-means Lloyd
-	// iteration, per HAC merge batch) from analyses this request
-	// computed. The engine attaches it to the dataset via
-	// analysis.Dataset.WithKernel; it must be safe for concurrent use.
-	Kernel analysis.KernelObserver
+// WithSink installs an engine-wide event sink.
+func WithSink(s Sink) Option {
+	return func(e *Engine) { e.sink = s }
 }
 
 // IngestPart is one source's share of a merged corpus ingestion.
@@ -147,24 +156,6 @@ type IngestPart struct {
 	Source     string
 	Start, End time.Time
 	Runs       int
-}
-
-// IngestTrace describes one completed corpus ingestion.
-type IngestTrace struct {
-	Source     string
-	Start, End time.Time
-	Runs       int
-	Err        error
-	// Parts holds per-source boundaries when the source decomposes
-	// (see Parted); empty for single sources.
-	Parts []IngestPart
-}
-
-// ComputeTrace describes one executed analysis function.
-type ComputeTrace struct {
-	Name, Params string
-	Start, End   time.Time
-	Err          error
 }
 
 // WithSeed selects the synthetic corpus with the given generation seed;
@@ -199,28 +190,21 @@ func (e *Engine) Dataset() (*analysis.Dataset, error) {
 	return e.dataset(nil)
 }
 
-// dataset is Dataset with a per-request trace hook. The goroutine that
-// wins the sync.Once — the one that actually streams the corpus — fires
-// both the engine observer and its own hook, so the ingestion span
-// attaches to the request that paid for it; concurrent requests that
-// merely waited report nothing.
-func (e *Engine) dataset(hook *TraceHooks) (*analysis.Dataset, error) {
+// dataset is Dataset with a per-request sink. The goroutine that wins
+// the sync.Once — the one that actually streams the corpus — emits the
+// ingest event, so it reaches the request that paid for it; concurrent
+// requests that merely waited report nothing.
+func (e *Engine) dataset(sink Sink) (*analysis.Dataset, error) {
 	e.dsOnce.Do(func() {
 		defer e.dsDone.Store(true)
-		start := time.Now()
+		ev := Event{Kind: EventIngest, Source: e.src.Name(), Start: time.Now()}
 		b := analysis.NewDatasetBuilder()
-		var parts []IngestPart
-		err := e.streamSource(b, hook, &parts)
-		end := time.Now()
+		err := e.streamSource(b, sink != nil, &ev.Parts)
+		ev.End = time.Now()
 		if err != nil {
 			e.dsErr = fmt.Errorf("core: source %s: %w", e.src.Name(), err)
-			if e.obs.Ingest != nil {
-				e.obs.Ingest(end.Sub(start), 0, e.dsErr)
-			}
-			if hook != nil && hook.Ingest != nil {
-				hook.Ingest(IngestTrace{Source: e.src.Name(),
-					Start: start, End: end, Err: e.dsErr, Parts: parts})
-			}
+			ev.Err = e.dsErr
+			e.emit(sink, ev)
 			return
 		}
 		e.builder = b
@@ -229,27 +213,34 @@ func (e *Engine) dataset(hook *TraceHooks) (*analysis.Dataset, error) {
 		// honor the same worker bound as the engine itself.
 		snap.Workers = e.workers
 		e.ds.Store(snap)
-		if e.obs.Ingest != nil {
-			e.obs.Ingest(end.Sub(start), len(snap.Raw), nil)
-		}
-		if hook != nil && hook.Ingest != nil {
-			hook.Ingest(IngestTrace{Source: e.src.Name(),
-				Start: start, End: end, Runs: len(snap.Raw), Parts: parts})
-		}
+		ev.Runs = len(snap.Raw)
+		e.emit(sink, ev)
 	})
 	return e.ds.Load(), e.dsErr
 }
 
-// streamSource drains the corpus into the builder. On a traced request
-// whose source decomposes (Parted), each part streams separately so the
-// trace gets per-source sub-spans; the merged stream is identical
-// either way because part order is the composite's drain order.
-func (e *Engine) streamSource(b *analysis.DatasetBuilder, hook *TraceHooks, parts *[]IngestPart) error {
+// emit delivers ev to the engine sink and then to the request's own;
+// every engine event goes through here.
+func (e *Engine) emit(req Sink, ev Event) {
+	if e.sink != nil {
+		e.sink(ev)
+	}
+	if req != nil {
+		req(ev)
+	}
+}
+
+// streamSource drains the corpus into the builder. When the ingesting
+// request carries a sink and the source decomposes (Parted), each part
+// streams separately so the event gets per-source boundaries; the
+// merged stream is identical either way because part order is the
+// composite's drain order.
+func (e *Engine) streamSource(b *analysis.DatasetBuilder, split bool, parts *[]IngestPart) error {
 	yield := func(r *model.Run) error {
 		b.Add(r)
 		return nil
 	}
-	if hook == nil || hook.Ingest == nil {
+	if !split {
 		return e.src.Each(e.workers, yield)
 	}
 	ps := sourceParts(e.src)
@@ -309,11 +300,11 @@ func (e *UnknownAnalysisError) Error() string {
 type Request struct {
 	Name   string
 	Params analysis.Params
-	// Trace, when non-nil, receives this request's lifecycle events.
-	// It never affects memo identity or results — two requests
-	// differing only in Trace share one computation, and only the one
-	// that computes reports.
-	Trace *TraceHooks
+	// Sink, when non-nil, receives the events this request paid for
+	// (see Sink). It never affects memo identity or results — two
+	// requests differing only in Sink share one computation, and only
+	// the one that computes reports it.
+	Sink Sink
 }
 
 // Analysis computes one named analysis with default parameters,
@@ -356,9 +347,7 @@ func (e *Engine) AnalysisRequest(req Request) (any, error) {
 	e.mu.Unlock()
 	if hit {
 		e.memoHits.Add(1)
-		if e.obs.Hit != nil {
-			e.obs.Hit(key.name, key.params)
-		}
+		e.emit(req.Sink, Event{Kind: EventHit, Name: key.name, Params: key.params})
 	} else {
 		e.memoMisses.Add(1)
 	}
@@ -366,30 +355,28 @@ func (e *Engine) AnalysisRequest(req Request) (any, error) {
 		var ds *analysis.Dataset
 		if !reg.Static {
 			var err error
-			if ds, err = e.dataset(req.Trace); err != nil {
+			if ds, err = e.dataset(req.Sink); err != nil {
 				m.err = err
 				return
 			}
-			if req.Trace != nil && req.Trace.Kernel != nil {
+			if e.sink != nil || req.Sink != nil {
 				// A shallow copy sharing the dataset's cache identity,
-				// so attaching the per-request observer never splits
+				// so attaching the kernel observer never splits
 				// dataset-keyed caches downstream.
-				ds = ds.WithKernel(req.Trace.Kernel)
+				ds = ds.WithKernel(func(k analysis.KernelEvent) {
+					now := time.Now()
+					e.emit(req.Sink, Event{Kind: EventKernel, Name: key.name,
+						Params: key.params, Start: now, End: now, Kernel: k})
+				})
 			}
 		}
-		// The compute timer starts after dataset so the observer sees
-		// the analysis function's own cost, not the ingestion it may
-		// have been first to trigger — Ingest reports that separately.
-		start := time.Now()
+		// The compute event starts after dataset so it times the
+		// analysis function's own cost, not the ingestion it may have
+		// been first to trigger — the ingest event reports that.
+		ev := Event{Kind: EventCompute, Name: key.name, Params: key.params, Start: time.Now()}
 		m.val, m.err = reg.Func(ds, params)
-		end := time.Now()
-		if e.obs.Compute != nil {
-			e.obs.Compute(key.name, key.params, end.Sub(start), m.err)
-		}
-		if req.Trace != nil && req.Trace.Compute != nil {
-			req.Trace.Compute(ComputeTrace{Name: key.name, Params: key.params,
-				Start: start, End: end, Err: m.err})
-		}
+		ev.End, ev.Err = time.Now(), m.err
+		e.emit(req.Sink, ev)
 	})
 	return m.val, m.err
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/model"
@@ -656,10 +655,11 @@ func TestEngineLazyConstruction(t *testing.T) {
 	}
 }
 
-// TestEngineObserver: lifecycle callbacks fire exactly once per actual
-// event — one Ingest per streamed engine no matter how many goroutines
-// race on Dataset, one Compute per memoized computation (hits silent),
-// each with the analysis identity and a positive duration.
+// TestEngineObserver: an engine sink sees each lifecycle event exactly
+// once per actual occurrence — one ingest per streamed engine no matter
+// how many goroutines race on Dataset, one compute per memoized
+// computation (hits are their own kind), each with the analysis
+// identity and ordered start and end times.
 func TestEngineObserver(t *testing.T) {
 	runs, err := GenerateCorpus(smallOptions())
 	if err != nil {
@@ -672,29 +672,29 @@ func TestEngineObserver(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var events []computeEvent
-	eng := New(WithSource(SliceSource(runs)), WithObserver(Observer{
-		Ingest: func(d time.Duration, n int, err error) {
-			if err != nil {
-				t.Errorf("ingest observer got error: %v", err)
+	eng := New(WithSource(SliceSource(runs)), WithSink(func(ev Event) {
+		switch ev.Kind {
+		case EventIngest:
+			if ev.Err != nil {
+				t.Errorf("ingest event got error: %v", ev.Err)
 			}
-			if d <= 0 {
-				t.Error("ingest observer got non-positive duration")
+			if !ev.End.After(ev.Start) {
+				t.Error("ingest event got non-positive duration")
 			}
 			ingests.Add(1)
-			ingestRuns.Store(int64(n))
-		},
-		Compute: func(name, params string, d time.Duration, err error) {
-			if err != nil {
-				t.Errorf("compute observer got error for %s: %v", name, err)
+			ingestRuns.Store(int64(ev.Runs))
+		case EventCompute:
+			if ev.Err != nil {
+				t.Errorf("compute event got error for %s: %v", ev.Name, ev.Err)
 			}
-			if d < 0 {
-				t.Errorf("compute observer got negative duration for %s", name)
+			if ev.End.Before(ev.Start) {
+				t.Errorf("compute event got negative duration for %s", ev.Name)
 			}
 			computes.Add(1)
 			mu.Lock()
-			events = append(events, computeEvent{name, params})
+			events = append(events, computeEvent{ev.Name, ev.Params})
 			mu.Unlock()
-		},
+		}
 	}))
 
 	const goroutines = 8
@@ -717,7 +717,7 @@ func TestEngineObserver(t *testing.T) {
 		t.Errorf("ingest reported %d runs, want %d", got, len(runs))
 	}
 	if got := computes.Load(); got != 2 {
-		t.Errorf("compute fired %d times, want 2 (fig3, funnel — hits silent)", got)
+		t.Errorf("compute fired %d times, want 2 (fig3, funnel — hits are not computes)", got)
 	}
 	seen := map[string]bool{}
 	for _, ev := range events {
@@ -730,41 +730,127 @@ func TestEngineObserver(t *testing.T) {
 		t.Errorf("compute events = %+v, want fig3 and funnel", events)
 	}
 
-	// Warm repeat: everything memoized, no further events.
+	// Warm repeat: everything memoized, no further ingest or compute.
 	if _, err := eng.Run("fig3", "funnel"); err != nil {
 		t.Fatal(err)
 	}
 	if ingests.Load() != 1 || computes.Load() != 2 {
-		t.Errorf("warm repeat re-fired observers: ingests=%d computes=%d",
+		t.Errorf("warm repeat re-fired events: ingests=%d computes=%d",
 			ingests.Load(), computes.Load())
 	}
 }
 
-// TestEngineObserverIngestError: a failed ingestion still reports to
-// the observer, with the error and zero runs.
+// TestEngineObserverIngestError: a failed ingestion still reaches the
+// sink, with the error and zero runs.
 func TestEngineObserverIngestError(t *testing.T) {
 	var gotErr error
 	var calls int
-	eng := New(WithSource(failingSource{}), WithObserver(Observer{
-		Ingest: func(d time.Duration, n int, err error) {
-			calls++
-			gotErr = err
-			if n != 0 {
-				t.Errorf("failed ingest reported %d runs", n)
-			}
-		},
+	eng := New(WithSource(failingSource{}), WithSink(func(ev Event) {
+		if ev.Kind != EventIngest {
+			return
+		}
+		calls++
+		gotErr = ev.Err
+		if ev.Runs != 0 {
+			t.Errorf("failed ingest reported %d runs", ev.Runs)
+		}
 	}))
 	if _, err := eng.Dataset(); err == nil {
 		t.Fatal("failing source should error")
 	}
 	if calls != 1 || gotErr == nil {
-		t.Errorf("ingest observer: calls=%d err=%v, want 1 call with the error", calls, gotErr)
+		t.Errorf("ingest event: calls=%d err=%v, want 1 call with the error", calls, gotErr)
+	}
+}
+
+// TestEngineSinks: an engine sink and a request sink installed at once
+// receive the same ingest and compute events, with identical start and
+// end times, and the request sink also sees the kernel progress of the
+// cold clusters computation it paid for. A second request sharing the
+// memo sees only its hit.
+func TestEngineSinks(t *testing.T) {
+	runs, err := GenerateCorpus(smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type recorder struct {
+		mu     sync.Mutex
+		events []Event
+	}
+	record := func(r *recorder) Sink {
+		return func(ev Event) {
+			r.mu.Lock()
+			r.events = append(r.events, ev)
+			r.mu.Unlock()
+		}
+	}
+	var engineSide, reqSide, other recorder
+	eng := New(WithSource(SliceSource(runs)), WithSink(record(&engineSide)))
+	if _, err := eng.AnalysisRequest(Request{Name: "clusters", Sink: record(&reqSide)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AnalysisRequest(Request{Name: "clusters", Sink: record(&other)}); err != nil {
+		t.Fatal(err)
+	}
+
+	only := func(evs []Event, kinds ...EventKind) []Event {
+		var out []Event
+		for _, ev := range evs {
+			for _, k := range kinds {
+				if ev.Kind == k {
+					out = append(out, ev)
+				}
+			}
+		}
+		return out
+	}
+	eIC := only(engineSide.events, EventIngest, EventCompute)
+	rIC := only(reqSide.events, EventIngest, EventCompute)
+	if len(rIC) != 2 || rIC[0].Kind != EventIngest || rIC[1].Kind != EventCompute {
+		t.Fatalf("request sink ingest/compute events = %+v, want ingest then compute", rIC)
+	}
+	if len(eIC) != len(rIC) {
+		t.Fatalf("engine sink saw %d ingest/compute events, request sink %d", len(eIC), len(rIC))
+	}
+	for i := range rIC {
+		e, r := eIC[i], rIC[i]
+		if e.Kind != r.Kind || e.Name != r.Name || e.Params != r.Params ||
+			e.Runs != r.Runs || !e.Start.Equal(r.Start) || !e.End.Equal(r.End) {
+			t.Errorf("event %d differs: engine %+v, request %+v", i, e, r)
+		}
+		if r.End.Before(r.Start) {
+			t.Errorf("event %d ends before it starts", i)
+		}
+	}
+	if rIC[0].Runs != len(runs) || rIC[1].Name != "clusters" {
+		t.Errorf("ingest runs = %d, compute name = %q", rIC[0].Runs, rIC[1].Name)
+	}
+	kernels := only(reqSide.events, EventKernel)
+	if len(kernels) == 0 {
+		t.Fatal("request sink saw no kernel events from a cold clusters computation")
+	}
+	for _, k := range kernels {
+		if k.Name != "clusters" || k.Kernel.Kernel == "" || !k.Start.Equal(k.End) {
+			t.Errorf("kernel event %+v", k)
+		}
+		if k.End.Before(rIC[1].Start) || k.End.After(rIC[1].End) {
+			t.Errorf("kernel event at %v outside compute [%v, %v]", k.End, rIC[1].Start, rIC[1].End)
+		}
+	}
+	if n := len(only(engineSide.events, EventKernel)); n != len(kernels) {
+		t.Errorf("engine sink saw %d kernel events, request sink %d", n, len(kernels))
+	}
+	if len(other.events) != 1 || other.events[0].Kind != EventHit || other.events[0].Name != "clusters" {
+		t.Errorf("memo-hit request sink saw %+v, want one clusters hit", other.events)
+	}
+	if n := len(only(engineSide.events, EventHit)); n != 1 {
+		t.Errorf("engine sink saw %d hits, want 1", n)
 	}
 }
 
 // TestEngineMemoStats: hits + misses equals AnalysisRequest calls, the
-// Observer.Hit callback fires once per hit, and RunsIngested reports
-// the corpus size only after a successful ingestion.
+// sink receives one hit event per hit, and RunsIngested reports the
+// corpus size only after a successful ingestion.
 func TestEngineMemoStats(t *testing.T) {
 	registerMemoProbe()
 	var hits atomic.Int64
@@ -772,13 +858,14 @@ func TestEngineMemoStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(WithSource(SliceSource(runs)), WithObserver(Observer{
-		Hit: func(name, params string) {
-			if name != "test_memo_probe" || params != "" {
-				t.Errorf("Hit(%q, %q)", name, params)
-			}
-			hits.Add(1)
-		},
+	eng := New(WithSource(SliceSource(runs)), WithSink(func(ev Event) {
+		if ev.Kind != EventHit {
+			return
+		}
+		if ev.Name != "test_memo_probe" || ev.Params != "" {
+			t.Errorf("hit event for (%q, %q)", ev.Name, ev.Params)
+		}
+		hits.Add(1)
 	}))
 	if got := eng.RunsIngested(); got != 0 {
 		t.Errorf("RunsIngested before ingestion = %d, want 0", got)
@@ -793,7 +880,7 @@ func TestEngineMemoStats(t *testing.T) {
 		t.Errorf("MemoStats = %+v, want 1 miss, 4 hits, 1 entry", st)
 	}
 	if hits.Load() != 4 {
-		t.Errorf("Observer.Hit fired %d times, want 4", hits.Load())
+		t.Errorf("hit event fired %d times, want 4", hits.Load())
 	}
 	if got := eng.RunsIngested(); got != len(runs) {
 		t.Errorf("RunsIngested = %d, want %d", got, len(runs))

@@ -205,15 +205,22 @@ func TestRunnerErrorDoesNotStop(t *testing.T) {
 	var errs []error
 	var deltas []Delta
 	done := make(chan error, 1)
+	failed := make(chan struct{}, 1)
 	r := &Runner{
 		W:       w,
 		Ticks:   ticks,
 		OnDelta: func(d Delta) { deltas = append(deltas, d) },
-		OnError: func(err error) { errs = append(errs, err) },
+		OnError: func(err error) {
+			errs = append(errs, err)
+			failed <- struct{}{}
+		},
 	}
 	go func() { done <- r.Run(context.Background()) }()
 
 	ticks <- time.Time{} // directory missing: error, keep going
+	// The tick only hands over; wait for the failed poll itself, or the
+	// directory below could appear before the runner reads it.
+	<-failed
 	if err := os.Mkdir(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -303,20 +302,4 @@ func encodeJSON(ts string, level Level, event string, attrs []Attr, dropped int6
 		b = appendJSONString(b, strconv.FormatInt(dropped, 10))
 	}
 	return append(b, "}\n"...)
-}
-
-// SampledEvents reports the event names with sampling installed, sorted
-// — introspection for tests and the spectop footer. Nil-safe.
-func (l *Logger) SampledEvents() []string {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	names := make([]string, 0, len(l.buckets))
-	for name := range l.buckets {
-		names = append(names, name)
-	}
-	l.mu.Unlock()
-	sort.Strings(names)
-	return names
 }

@@ -143,8 +143,8 @@ func (c *Collector) ObserveBuild(ns int64) {
 }
 
 // ObserveIngest records one corpus ingestion, as reported by the
-// engine's observer — the once-per-engine cost, counted exactly once no
-// matter how many requests waited on it.
+// engine's ingest event — the once-per-engine cost, counted exactly
+// once no matter how many requests waited on it.
 func (c *Collector) ObserveIngest(ns int64) {
 	c.ingests.Add(1)
 	c.stageHist(StageIngest).Observe(nsDuration(ns))
@@ -154,19 +154,16 @@ func (c *Collector) ObserveIngest(ns int64) {
 // per-analysis histograms aggregate request latency, not compute time —
 // compute feeds only the stage histogram, so a memoized analysis's
 // request latency distribution stays comparable across hit and miss.
-func (c *Collector) ObserveCompute(name string, ns int64) {
-	_ = name // labels the stage in a future per-analysis compute split
+func (c *Collector) ObserveCompute(ns int64) {
 	c.computes.Add(1)
 	c.stageHist(StageCompute).Observe(nsDuration(ns))
 }
 
 // ObserveMemoHit records one engine memo-cache hit, as reported by the
-// engine's Observer.Hit. With ObserveCompute counting the misses, the
-// pair yields the fleet-wide memo hit ratio — and, unlike per-engine
+// engine's hit event. With ObserveCompute counting the misses, the pair
+// yields the fleet-wide memo hit ratio — and, unlike per-engine
 // counters, survives engine eviction.
-func (c *Collector) ObserveMemoHit(name, params string) {
-	_ = name // labels a future per-analysis hit split
-	_ = params
+func (c *Collector) ObserveMemoHit() {
 	c.memoHits.Add(1)
 }
 
@@ -181,12 +178,6 @@ func (c *Collector) ClientErrors() int64 { return c.clientErrs.Load() }
 
 // ServerErrors reports 5xx responses observed.
 func (c *Collector) ServerErrors() int64 { return c.serverErrs.Load() }
-
-// Ingests reports corpus ingestions observed.
-func (c *Collector) Ingests() int64 { return c.ingests.Load() }
-
-// Computes reports analysis computations observed.
-func (c *Collector) Computes() int64 { return c.computes.Load() }
 
 // MemoHits reports engine memo-cache hits observed.
 func (c *Collector) MemoHits() int64 { return c.memoHits.Load() }

@@ -47,8 +47,8 @@ func (s *Span) Child(name string) *Span {
 }
 
 // ChildAt starts a child span with an explicit start time — the hook
-// for layers that already hold a timestamp (the engine's ingest
-// callback, kernel event sinks) and must not read the clock twice.
+// for layers that already hold a timestamp (engine events carry their
+// own start and end) and must not read the clock twice.
 func (s *Span) ChildAt(name string, start time.Time) *Span {
 	if s == nil {
 		return nil

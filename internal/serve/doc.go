@@ -71,9 +71,10 @@
 // compute, and serialize spans, and the outermost middleware folds the
 // finished request into the server's obs.Collector (and emits the
 // Config.Logf line). Engine-side events — corpus ingestion, memo-miss
-// computations — are timed by the engines themselves via core.Observer
-// and flow into the same collector, once per actual event rather than
-// once per request, so single-flight sharing cannot inflate them. The
+// computations, memo hits — are timed by the engines themselves and
+// reach the same collector through the pool's engine-wide core.Sink,
+// once per actual event rather than once per request, so single-flight
+// sharing cannot inflate them. The
 // aggregates surface twice from one source: /v1/stats as JSON (stage
 // and per-analysis percentile summaries) and /metrics as Prometheus
 // text exposition (cumulative histograms and counters, plus a
@@ -104,13 +105,15 @@
 // is negative, each request also carries an obs/trace tracer: the
 // middleware opens a root span (adopting an inbound W3C Traceparent
 // header and echoing the outbound one), the gate and handlers hang
-// stage child spans off it, and engine-side events arrive through
-// core.TraceHooks — fired only on the request that actually paid for
-// the ingestion or computation, so warm traces have no compute span.
-// Kernel-depth spans (per k-means iteration, per HAC merge batch) come
-// from count-only observer callbacks injected per request; the tracer
-// timestamps them on receipt, keeping registered analyses clock-free
-// under specvet's determinism gate. Completed traces are published to
+// stage child spans off it, and engine-side events arrive through the
+// request's own core.Sink (core.Request.Sink). The engine fires the
+// same core.Event values it hands the pool's sink, but to a request
+// sink only those its request paid for — the ingestion it streamed,
+// the computation it missed the memo on — so warm traces have no
+// compute span. Kernel-depth spans (per k-means iteration, per HAC
+// merge batch) come from count-only kernel events that the engine
+// stamps on receipt, keeping registered analyses clock-free under
+// specvet's determinism gate. Completed traces are published to
 // a bounded lock-free ring served by /v1/traces, Config.SlowTrace logs
 // one line per slower-than-threshold request with its trace id, and
 // the id also rides the audit record for the same response.

@@ -429,7 +429,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	computeStart := time.Now()
-	v, err := ent.eng.AnalysisRequest(core.Request{Name: name, Params: params, Trace: t.hooks()})
+	v, err := ent.eng.AnalysisRequest(core.Request{Name: name, Params: params, Sink: t.sink()})
 	m.ComputeNs = time.Since(computeStart).Nanoseconds()
 	if err != nil {
 		ent.live.RUnlock()
@@ -544,7 +544,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	// Render into a buffer so a mid-report analysis failure becomes a
 	// clean 500 instead of half a 200. Rendering is compute and
 	// serialize in one pass; it counts as compute, the dominant cost —
-	// the trace gets one "render" span rather than engine hooks, since
+	// the trace gets one "render" span rather than engine events, since
 	// WriteReport fans analyses out internally and per-request
 	// attribution of the shared memo fills would mislead.
 	computeStart := time.Now()

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/obs/trace"
 )
@@ -22,24 +21,24 @@ var tracerKey tracerKeyType
 
 // requestTracer returns the request's tracer, nil when tracing is
 // disabled. A nil tracer is a valid receiver for every method below —
-// root() returns a nil span (itself a no-op receiver) and hooks()
+// root() returns a nil span (itself a no-op receiver) and sink()
 // returns nil — so handlers call through unconditionally.
 func requestTracer(r *http.Request) *tracer {
 	t, _ := r.Context().Value(tracerKey).(*tracer)
 	return t
 }
 
-// tracer owns one request's trace: the span tree plus the engine hook
-// adapters that turn core lifecycle callbacks and count-only kernel
-// events into timed child spans.
+// tracer owns one request's trace: the span tree plus the engine event
+// sink that turns ingest, compute and kernel events into timed child
+// spans.
 type tracer struct {
 	tr *trace.Trace
 
-	// Kernel events buffer until the compute hook fires (the compute
-	// span they nest under is only created then, with its real start).
-	// Each event is timestamped on receipt here, in the serving layer —
-	// the kernels themselves never read the clock, which is what keeps
-	// registered analyses clean under specvet's determinism gate.
+	// Kernel events buffer until the compute event arrives (the
+	// compute span they nest under is only created then, with its real
+	// start). The engine stamps each one on receipt — the kernels
+	// themselves never read the clock, which is what keeps registered
+	// analyses clean under specvet's determinism gate.
 	kmu  sync.Mutex
 	kevs []kernelEventRec
 }
@@ -71,62 +70,72 @@ func (t *tracer) id() string {
 	return t.tr.TraceID()
 }
 
-// hooks returns the engine trace hooks for this request, nil when
-// untraced (a nil core.Request.Trace is the engine's "don't report"
+// sink returns the engine event sink for this request, nil when
+// untraced (a nil core.Request.Sink is the engine's "don't report"
 // value).
-func (t *tracer) hooks() *core.TraceHooks {
+func (t *tracer) sink() core.Sink {
 	if t == nil {
 		return nil
 	}
-	return &core.TraceHooks{
-		Ingest:  t.ingest,
-		Compute: t.compute,
-		Kernel:  t.kernelEvent,
+	return t.event
+}
+
+// event turns the engine events this request paid for into spans. A
+// memo hit opens no span, so a warm trace simply has no compute span.
+func (t *tracer) event(ev core.Event) {
+	switch ev.Kind {
+	case core.EventIngest:
+		t.ingest(ev)
+	case core.EventKernel:
+		t.kernel(ev)
+	case core.EventCompute:
+		t.compute(ev)
 	}
 }
 
-// ingest renders the engine's ingestion report as an "ingest" child of
-// the root, with one "ingest-source" sub-span per part of a merged
-// corpus. It fires only on the request that actually streamed the
-// corpus, so the span marks who paid, not who waited.
-func (t *tracer) ingest(it core.IngestTrace) {
-	sp := t.tr.Root().ChildAt("ingest", it.Start)
-	sp.SetAttr("source", it.Source)
-	sp.SetAttr("runs", strconv.Itoa(it.Runs))
-	if it.Err != nil {
-		sp.SetAttr("error", it.Err.Error())
+// ingest renders the corpus ingestion as an "ingest" child of the
+// root, with one "ingest-source" sub-span per part of a merged corpus.
+// It fires only on the request that actually streamed the corpus, so
+// the span marks who paid, not who waited.
+func (t *tracer) ingest(ev core.Event) {
+	sp := t.tr.Root().ChildAt("ingest", ev.Start)
+	sp.SetAttr("source", ev.Source)
+	sp.SetAttr("runs", strconv.Itoa(ev.Runs))
+	if ev.Err != nil {
+		sp.SetAttr("error", ev.Err.Error())
 	}
-	for _, p := range it.Parts {
+	for _, p := range ev.Parts {
 		ps := sp.ChildAt("ingest-source", p.Start)
 		ps.SetAttr("source", p.Source)
 		ps.SetAttr("runs", strconv.Itoa(p.Runs))
 		ps.FinishAt(p.End)
 	}
-	sp.FinishAt(it.End)
+	sp.FinishAt(ev.End)
 }
 
-// kernelEvent receives one count-only kernel progress event and stamps
-// it with the receipt time. The spans materialize later, in compute:
+// kernel buffers one count-only kernel progress event with the time
+// the engine stamped on it. The spans materialize later, in compute:
 // event i's span covers the gap since event i-1 (the first one since
 // compute start, so it also absorbs feature extraction ahead of the
 // kernel).
-func (t *tracer) kernelEvent(ev analysis.KernelEvent) {
-	rec := kernelEventRec{at: time.Now(), name: ev.Kernel + "-" + ev.Event}
-	switch ev.Kernel {
+func (t *tracer) kernel(ev core.Event) {
+	k := ev.Kernel
+	rec := kernelEventRec{at: ev.End, name: k.Kernel + "-" + k.Event}
+	switch k.Kernel {
 	case "kmeans":
 		rec.attrs = []trace.Attr{
-			{Key: "iteration", Value: strconv.Itoa(ev.Index)},
-			{Key: "moved", Value: strconv.Itoa(ev.Moved)},
-			{Key: "converged", Value: strconv.FormatBool(ev.Converged)},
+			{Key: "iteration", Value: strconv.Itoa(k.Index)},
+			{Key: "moved", Value: strconv.Itoa(k.Moved)},
+			{Key: "converged", Value: strconv.FormatBool(k.Converged)},
 		}
 	case "hac":
 		rec.attrs = []trace.Attr{
-			{Key: "batch", Value: strconv.Itoa(ev.Index)},
-			{Key: "merges", Value: strconv.Itoa(ev.Merges)},
-			{Key: "max_dist", Value: strconv.FormatFloat(ev.MaxDist, 'g', -1, 64)},
+			{Key: "batch", Value: strconv.Itoa(k.Index)},
+			{Key: "merges", Value: strconv.Itoa(k.Merges)},
+			{Key: "max_dist", Value: strconv.FormatFloat(k.MaxDist, 'g', -1, 64)},
 		}
 	default:
-		rec.attrs = []trace.Attr{{Key: "index", Value: strconv.Itoa(ev.Index)}}
+		rec.attrs = []trace.Attr{{Key: "index", Value: strconv.Itoa(k.Index)}}
 	}
 	t.kmu.Lock()
 	t.kevs = append(t.kevs, rec)
@@ -134,31 +143,30 @@ func (t *tracer) kernelEvent(ev analysis.KernelEvent) {
 }
 
 // compute renders one executed analysis as a "compute" child of the
-// root, draining the buffered kernel events into its sub-spans. Memo
-// hits never reach here, so a warm trace simply has no compute span.
-func (t *tracer) compute(ct core.ComputeTrace) {
-	sp := t.tr.Root().ChildAt("compute", ct.Start)
-	sp.SetAttr("analysis", ct.Name)
-	if ct.Params != "" {
-		sp.SetAttr("params", ct.Params)
+// root, draining the buffered kernel events into its sub-spans.
+func (t *tracer) compute(ev core.Event) {
+	sp := t.tr.Root().ChildAt("compute", ev.Start)
+	sp.SetAttr("analysis", ev.Name)
+	if ev.Params != "" {
+		sp.SetAttr("params", ev.Params)
 	}
-	if ct.Err != nil {
-		sp.SetAttr("error", ct.Err.Error())
+	if ev.Err != nil {
+		sp.SetAttr("error", ev.Err.Error())
 	}
 	t.kmu.Lock()
 	evs := t.kevs
 	t.kevs = nil
 	t.kmu.Unlock()
-	prev := ct.Start
-	for _, ev := range evs {
-		k := sp.ChildAt(ev.name, prev)
-		for _, a := range ev.attrs {
-			k.SetAttr(a.Key, a.Value)
+	prev := ev.Start
+	for _, k := range evs {
+		ks := sp.ChildAt(k.name, prev)
+		for _, a := range k.attrs {
+			ks.SetAttr(a.Key, a.Value)
 		}
-		k.FinishAt(ev.at)
-		prev = ev.at
+		ks.FinishAt(k.at)
+		prev = k.at
 	}
-	sp.FinishAt(ct.End)
+	sp.FinishAt(ev.End)
 }
 
 // tracesResponse is the GET /v1/traces body.

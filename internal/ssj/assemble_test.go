@@ -65,3 +65,7 @@ func TestAssembleRunErrors(t *testing.T) {
 		t.Error("invalid config should error")
 	}
 }
+
+func testMeterM() *SimMeter {
+	return NewSimMeter(testCurve(), 0, 11)
+}

@@ -89,21 +89,3 @@ func (d DefectPlan) Total() int {
 		d.AmbiguousCPUName + d.MissingNodeCount +
 		d.InconsistentCoreThrd + d.ImplausibleCoreThrd
 }
-
-// PlanTotals summarizes a plan for validation and reporting.
-type PlanTotals struct {
-	Parsed, Good, Multi, NonServer, NonX86 int
-}
-
-// Totals sums a year plan.
-func Totals(plan []YearPlan) PlanTotals {
-	var t PlanTotals
-	for _, p := range plan {
-		t.Parsed += p.Parsed
-		t.Good += p.Good()
-		t.Multi += p.Multi
-		t.NonServer += p.NonServer
-		t.NonX86 += p.NonX86
-	}
-	return t
-}
