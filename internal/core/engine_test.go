@@ -848,6 +848,20 @@ func TestEngineSinks(t *testing.T) {
 	}
 }
 
+// TestEngineHitDoesNotAllocate: delivering a memo hit to an engine sink
+// and a request sink costs no heap allocation, so the warm serving path
+// pays nothing for its event stream.
+func TestEngineHitDoesNotAllocate(t *testing.T) {
+	eng := New(WithSource(SliceSource(nil)), WithSink(func(Event) {}))
+	req := Request{Name: "funnel", Sink: func(Event) {}}
+	if _, err := eng.AnalysisRequest(req); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = eng.AnalysisRequest(req) }); n != 0 {
+		t.Errorf("memo hit with two sinks allocates %v times per call, want 0", n)
+	}
+}
+
 // TestEngineMemoStats: hits + misses equals AnalysisRequest calls, the
 // sink receives one hit event per hit, and RunsIngested reports the
 // corpus size only after a successful ingestion.

@@ -74,11 +74,11 @@
 // computations, memo hits — are timed by the engines themselves and
 // reach the same collector through the pool's engine-wide core.Sink,
 // once per actual event rather than once per request, so single-flight
-// sharing cannot inflate them. The
-// aggregates surface twice from one source: /v1/stats as JSON (stage
-// and per-analysis percentile summaries) and /metrics as Prometheus
-// text exposition (cumulative histograms and counters, plus a
-// specserve_runtime_* section sampled at scrape time).
+// sharing cannot inflate them. The aggregates surface twice from one
+// source: /v1/stats as JSON (stage and per-analysis percentile
+// summaries) and /metrics as Prometheus text exposition (cumulative
+// histograms and counters, plus a specserve_runtime_* section sampled
+// at scrape time).
 //
 // # Event log and pool introspection
 //
