@@ -93,12 +93,12 @@ var csvHeader = []string{
 // shortest round-trip form and NaN as an empty cell.
 func writeCSV(w io.Writer, runs []*model.Run) error {
 	cw := csv.NewWriter(w)
-	cw.Write(csvHeader)
+	_ = cw.Write(csvHeader) // a failed write sticks and resurfaces from Error
 	cw.Flush()
 	if err := cw.Error(); err != nil {
 		return fmt.Errorf("write header: %w", err)
 	}
-	itoa := func(v int) string { return strconv.Itoa(v) }
+	itoa := strconv.Itoa
 	ftoa := func(v float64) string {
 		if math.IsNaN(v) {
 			return ""

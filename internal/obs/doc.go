@@ -56,8 +56,8 @@
 // ordered attributes, carrying W3C trace-context identity — built by
 // the serving layer as the request crosses the same stages the
 // Collector aggregates, plus kernel-level child spans (one per k-means
-// iteration or HAC merge batch) fed by count-only observer callbacks
-// so the analyses themselves stay clock-free. Completed traces are
+// iteration or HAC merge batch) fed by count-only kernel events so the
+// analyses themselves stay clock-free. Completed traces are
 // published to a bounded lock-free Ring and served by /v1/traces.
 //
 // RuntimeSampler rounds out the picture: sampled at /metrics scrape

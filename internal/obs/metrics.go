@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// nsDuration converts observer nanoseconds to a time.Duration.
+// nsDuration converts event nanoseconds to a time.Duration.
 func nsDuration(ns int64) time.Duration { return time.Duration(ns) }
 
 // Stage names for per-stage timing. They are the `stage` label of the
@@ -33,7 +33,7 @@ var Stages = []string{
 // wall-clock from the request's perspective — under single-flight
 // construction, concurrent requests for one cold scope each observe the
 // shared build they waited on. The true once-per-event costs are
-// aggregated separately from the engine's own observer callbacks.
+// aggregated separately from the engine's own events.
 type RequestMetrics struct {
 	// Analysis is the registry name served ("" for non-analysis
 	// endpoints); Params its canonical parameter string.
@@ -59,7 +59,7 @@ type Collector struct {
 	stages     map[string]*Histogram
 	byAnalysis map[string]*Histogram
 
-	// Event counters fed by the serving layer and engine observers.
+	// Event counters fed by the serving layer and engine events.
 	// Engine builds are deliberately absent: the pool that performs
 	// them owns that count, and the exposition takes it as a gauge
 	// input so the two surfaces cannot drift.
