@@ -219,6 +219,13 @@ func (r *Run) SortPoints() {
 	})
 }
 
+// Clone returns a deep copy of the run.
+func (r *Run) Clone() *Run {
+	c := *r
+	c.Points = append([]LoadPoint(nil), r.Points...)
+	return &c
+}
+
 // String returns a compact one-line description for logs and errors.
 func (r *Run) String() string {
 	return fmt.Sprintf("%s [%s %s, %dN×%dS, HW %s, %.0f ops/W]",

@@ -154,6 +154,16 @@ func TestSortPoints(t *testing.T) {
 	}
 }
 
+func TestClone(t *testing.T) {
+	r := testRun()
+	c := r.Clone()
+	c.Points[0].AvgPower = 9999
+	c.CPUName = "changed"
+	if r.Points[0].AvgPower == 9999 || r.CPUName == "changed" {
+		t.Fatal("Clone must deep-copy points and not alias fields")
+	}
+}
+
 func TestLoadPointOpsPerWatt(t *testing.T) {
 	lp := LoadPoint{TargetLoad: 50, ActualOps: 1000, AvgPower: 200}
 	if got := lp.OpsPerWatt(); got != 5 {

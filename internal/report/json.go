@@ -142,3 +142,16 @@ func WriteJSON(w io.Writer, runs []*model.Run) error {
 	}
 	return nil
 }
+
+// ReadJSON reads a JSON array of runs.
+func ReadJSON(r io.Reader) ([]*model.Run, error) {
+	var in []JSONRun
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
+		return nil, fmt.Errorf("report: decode json: %w", err)
+	}
+	out := make([]*model.Run, len(in))
+	for i, j := range in {
+		out[i] = FromJSONRun(j)
+	}
+	return out, nil
+}

@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -53,14 +52,14 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, []*model.Run{orig}); err != nil {
 		t.Fatal(err)
 	}
-	var back []JSONRun
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	back, err := ReadJSON(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 1 {
 		t.Fatalf("runs = %d", len(back))
 	}
-	got := FromJSONRun(back[0])
+	got := back[0]
 	if got.ID != orig.ID || got.HWAvail != orig.HWAvail ||
 		got.CPUVendor != orig.CPUVendor || got.CPUClass != orig.CPUClass ||
 		got.OSFamily != orig.OSFamily || got.TotalThreads != orig.TotalThreads {
@@ -94,6 +93,16 @@ func TestJSONFieldNames(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("json missing %s", want)
 		}
+	}
+}
+
+func TestReadJSONErrors(t *testing.T) {
+	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
+		t.Error("bad json should error")
+	}
+	runs, err := ReadJSON(strings.NewReader("[]"))
+	if err != nil || len(runs) != 0 {
+		t.Errorf("empty array: %v %v", runs, err)
 	}
 }
 

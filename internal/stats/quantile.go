@@ -44,6 +44,29 @@ func Median(xs []float64) float64 {
 	return Quantile(xs, 0.5)
 }
 
+// Quantiles evaluates several quantiles in one pass over the sorted data,
+// cheaper than repeated Quantile calls.
+func Quantiles(xs []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	clean := DropNaN(xs)
+	if len(clean) == 0 {
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out
+	}
+	sorted := append([]float64(nil), clean...)
+	sort.Float64s(sorted)
+	for i, q := range qs {
+		if q < 0 || q > 1 || math.IsNaN(q) {
+			out[i] = math.NaN()
+			continue
+		}
+		out[i] = quantileSorted(sorted, q)
+	}
+	return out
+}
+
 // BoxStats is the five-number summary plus Tukey whiskers used by the
 // Figure 4 box plots.
 type BoxStats struct {

@@ -41,6 +41,17 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
+func TestQuantilesBatchMatchesSingle(t *testing.T) {
+	xs := []float64{7, 1, 4, 4, 9, 2}
+	qs := []float64{0, 0.1, 0.5, 0.9, 1}
+	batch := Quantiles(xs, qs...)
+	for i, q := range qs {
+		if got := Quantile(xs, q); !almostEq(batch[i], got, 1e-12) {
+			t.Errorf("Quantiles[%v] = %v, single = %v", q, batch[i], got)
+		}
+	}
+}
+
 func TestQuantileMonotoneInQ(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {
 		xs := DropNaN(raw)
