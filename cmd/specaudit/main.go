@@ -1,8 +1,8 @@
 // Command specaudit inspects the hash-chained audit logs specserve
 // writes with -audit.
 //
-//	specaudit verify audit.log    check every link; exit 1 naming the
-//	                              first broken record on failure
+//	specaudit verify audit.log    check every link and every identity;
+//	                              exit 1 naming the failing records
 //	specaudit head audit.log      print the chain head hash — store it
 //	                              externally as a truncation anchor
 //
@@ -18,11 +18,18 @@
 // log truncated cleanly at a record boundary still verifies — compare
 // the reported head hash against an externally stored anchor (the head
 // printed by an earlier run) to detect that case.
+//
+// verify then checks identity/body consistency: two records with equal
+// (fingerprint, analysis, params, filter) must carry equal result
+// digests, because a served body is a pure function of that identity
+// and the server's strong ETags are derived from it. A conflicting
+// pair fails naming both record indices.
 package main
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -31,7 +38,7 @@ import (
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  specaudit verify <file>   verify the hash chain
+  specaudit verify <file>   verify the hash chain and identity consistency
   specaudit head <file>     print record count and head hash
 `)
 	os.Exit(2)
@@ -49,29 +56,46 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	res, verr := obs.VerifyChain(f)
 	switch cmd {
 	case "verify":
-		if verr != nil {
-			var ce *obs.ChainError
-			if errors.As(verr, &ce) {
-				log.Fatalf("FAIL %s: record %d: %s", path, ce.Index, ce.Reason)
-			}
-			log.Fatalf("FAIL %s: %v", path, verr)
+		line, err := verify(f, path)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("OK %s: %d records", path, res.Records)
-		if res.Records > 0 {
-			fmt.Printf(", head %s", res.HeadHash)
-		}
-		fmt.Println()
+		fmt.Println(line)
 	case "head":
-		if verr != nil {
-			log.Fatalf("FAIL %s: %v", path, verr)
+		res, err := obs.VerifyChain(f)
+		if err != nil {
+			log.Fatalf("FAIL %s: %v", path, err)
 		}
 		fmt.Println(headLine(res))
 	default:
 		usage()
 	}
+}
+
+// verify runs both checks on the log in f, named path in messages, and
+// returns the OK line, or the FAIL message as an error.
+func verify(f io.ReadSeeker, path string) (string, error) {
+	res, err := obs.VerifyChain(f)
+	if err != nil {
+		var ce *obs.ChainError
+		if errors.As(err, &ce) {
+			return "", fmt.Errorf("FAIL %s: record %d: %s", path, ce.Index, ce.Reason)
+		}
+		return "", fmt.Errorf("FAIL %s: %v", path, err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return "", fmt.Errorf("FAIL %s: %v", path, err)
+	}
+	if err := obs.VerifyConsistency(f); err != nil {
+		return "", fmt.Errorf("FAIL %s: %v", path, err)
+	}
+	line := fmt.Sprintf("OK %s: %d records", path, res.Records)
+	if res.Records > 0 {
+		line += ", head " + res.HeadHash
+	}
+	return line, nil
 }
 
 // headLine renders the head command's output line. The trace id column

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,5 +98,51 @@ func TestHeadTraceIDFollowsHead(t *testing.T) {
 	}
 	if got, want := headLine(res), "2 "+res.HeadHash; got != want {
 		t.Fatalf("headLine = %q, want %q", got, want)
+	}
+}
+
+// TestVerifyIdentityConsistency: verify passes a log whose repeated
+// identities served equal bytes, and fails one holding a single
+// identity/body conflict, naming both records, even though its chain
+// links are intact.
+func TestVerifyIdentityConsistency(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.log")
+	l, err := obs.OpenAuditLog(path, obs.AuditOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := func(i int, params, digest string) obs.Entry {
+		return obs.Entry{Time: time.Unix(int64(1700000000+i), 0).UTC(),
+			Fingerprint: "fp", Analysis: "clusters", Params: params, ResultDigest: digest}
+	}
+	l.Append(entry(0, "k=3", "sha256:aaa"))
+	l.Append(entry(1, "algo=minibatch,k=3", "sha256:bbb"))
+	l.Append(entry(2, "k=3", "sha256:aaa"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check := func() (string, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		return verify(f, "audit.log")
+	}
+	line, err := check()
+	if err != nil || !strings.HasPrefix(line, "OK audit.log: 3 records") {
+		t.Fatalf("consistent log: line %q, err %v", line, err)
+	}
+
+	if l, err = obs.OpenAuditLog(path, obs.AuditOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	l.Append(entry(3, "algo=minibatch,k=3", "sha256:ccc"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = check()
+	if err == nil || !strings.Contains(err.Error(), "records 1 and 3") {
+		t.Fatalf("conflicting log: err = %v, want a FAIL naming records 1 and 3", err)
 	}
 }

@@ -1,8 +1,8 @@
 // Command spectop is a live terminal dashboard for a running specserve:
 // it polls GET /metrics, /v1/stats, and /v1/pool and renders pool
 // occupancy (one row per resident scope engine), request and stage
-// latency summaries, and cache hit ratios (engine memo, cluster memo
-// rings, gob parse cache), refreshing in place until interrupted.
+// latency summaries, and cache hit ratios (engine memo, gob parse
+// cache), refreshing in place until interrupted.
 //
 // Usage:
 //
@@ -237,12 +237,6 @@ func render(w io.Writer, addr string, s *snapshot) {
 		fmt.Fprintf(w, "%-16s %7s   %.0f/%.0f\n", name, ratio(h, m), h, m)
 	}
 	cacheRow("memo", "specserve_memo_hits_total", "specserve_memo_misses_total")
-	cacheRow("ring:partition",
-		`specserve_memo_ring_hits_total{ring="partition"}`,
-		`specserve_memo_ring_misses_total{ring="partition"}`)
-	cacheRow("ring:sweep",
-		`specserve_memo_ring_hits_total{ring="sweep"}`,
-		`specserve_memo_ring_misses_total{ring="sweep"}`)
 	cacheRow("parse",
 		"specserve_parse_cache_hits_total", "specserve_parse_cache_misses_total")
 

@@ -13,9 +13,12 @@ type DatasetBuilder struct {
 	ds          Dataset
 	parseCounts map[model.RejectReason]int
 	compCounts  map[model.RejectReason]int
-	// lastSnap is the cache identity of the most recent Snapshot, the
-	// lineage link the next Snapshot records as its predecessor.
-	lastSnap *datasetID
+	// bounds is the lineage: the comparable-set length at the close of
+	// each generation. Snapshots hold capacity-capped prefixes of it,
+	// which later appends never write into.
+	bounds []int
+	// folds is the fold memo every snapshot of this builder shares.
+	folds memoTable[fold]
 }
 
 // NewDatasetBuilder returns an empty builder.
@@ -65,28 +68,28 @@ func (b *DatasetBuilder) Funnel() Funnel {
 	return f
 }
 
-// Dataset finalizes the builder. Further Add calls keep extending the
-// same underlying dataset; call Dataset again for a fresh snapshot.
-func (b *DatasetBuilder) Dataset() *Dataset {
-	b.ds.Funnel = b.Funnel()
-	if b.ds.id == nil {
-		b.ds.id = new(datasetID)
+// EndGeneration closes the current generation of the builder's
+// lineage, the sequence Dataset.Fold steps through. A generation that
+// added no comparable run is merged into the one before: analyses over
+// the comparable set cannot tell the two apart, and the engine keeps
+// serving their memos across such an append.
+func (b *DatasetBuilder) EndGeneration() {
+	n := len(b.ds.Comparable)
+	if len(b.bounds) == 0 || n > b.bounds[len(b.bounds)-1] {
+		b.bounds = append(b.bounds, n)
 	}
-	return &b.ds
 }
 
-// Snapshot returns an independent point-in-time view of the corpus: a
-// dataset with its own cache identity whose PrevCacheKey links to the
-// builder's previous Snapshot, so dataset-keyed caches distinguish
-// generations while warm-start caches can walk back one. Later Add
+// Snapshot closes the current generation and returns an independent
+// point-in-time view of the corpus: a dataset with its own cache
+// identity and stage memo, sharing the builder's fold memo. Later Add
 // calls never alter a snapshot — appends extend the builder's slices
 // strictly past every snapshot's length, and runs are never mutated —
 // so snapshots may be read concurrently with further building.
 func (b *DatasetBuilder) Snapshot() *Dataset {
+	b.EndGeneration()
 	ds := b.ds
 	ds.Funnel = b.Funnel()
-	ds.id = new(datasetID)
-	ds.prev = b.lastSnap
-	b.lastSnap = ds.id
+	ds.snap = &snapshot{bounds: b.bounds[:len(b.bounds):len(b.bounds)], folds: &b.folds}
 	return &ds
 }

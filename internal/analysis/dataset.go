@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -94,42 +95,137 @@ type Dataset struct {
 	// of clocks and I/O.
 	Kernel KernelObserver
 
-	// id anchors the dataset's cache identity across the shallow copies
-	// WithKernel makes; see CacheKey.
-	id *datasetID
-	// prev is the cache identity of the snapshot this dataset extends
-	// (nil for a first snapshot or a literally constructed dataset);
-	// see PrevCacheKey.
-	prev *datasetID
+	// snap holds the memos of a builder snapshot, shared by the
+	// shallow copies WithKernel makes; see Stage and Fold. Nil for a
+	// dataset constructed literally.
+	snap *snapshot
 }
 
-type datasetID struct{ _ byte }
-
-// CacheKey returns an opaque comparable identity for dataset-keyed
-// caches: every WithKernel copy of a builder-produced dataset shares
-// its original's key, so attaching an observer never splits a cache. A
-// dataset constructed literally (tests, ad-hoc callers) has no id and
-// is its own key.
-func (d *Dataset) CacheKey() any {
-	if d.id == nil {
-		return d
-	}
-	return d.id
+// snapshot is the state hanging off one builder snapshot: its stage
+// memo, its place in the builder's lineage, and the lineage's fold
+// memo. Every WithKernel copy shares it, so attaching an observer never
+// splits a memo, and it dies with the snapshot, so a newer generation
+// never sees an older one's stages.
+type snapshot struct {
+	stages memoTable[stage]
+	// bounds is the lineage up to this snapshot: the comparable-set
+	// length at the close of each generation (see
+	// DatasetBuilder.EndGeneration); the last equals len(Comparable).
+	bounds []int
+	folds  *memoTable[fold]
 }
 
-// PrevCacheKey returns the cache identity of the snapshot this dataset
-// was appended onto, or nil when there is none. Warm-startable kernels
-// (mini-batch k-means) use it to find state computed against the
-// previous corpus generation.
-func (d *Dataset) PrevCacheKey() any {
-	if d.prev == nil {
-		return nil
+// ParamMemoLimit bounds every memo keyed by request parameters: the
+// engine's parameterized analysis entries, a snapshot's stages, and a
+// lineage's folds. Parameter values are request inputs — on a served
+// engine, client-controlled — so without a bound a scan over
+// ?seed=1,2,3,… would grow a memo without limit. Beyond it the oldest
+// key is dropped and a repeat request recomputes, deterministically.
+const ParamMemoLimit = 512
+
+// memoTable maps keys to lazily filled entries, holding at most
+// ParamMemoLimit keys. A dropped entry stays valid for callers already
+// holding it.
+type memoTable[V any] struct {
+	mu      sync.Mutex
+	entries map[string]*V
+	order   []string // keys in insertion order, for eviction
+}
+
+// entry returns key's entry, inserting an empty one when missing.
+func (t *memoTable[V]) entry(key string) *V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v, ok := t.entries[key]; ok {
+		return v
 	}
-	return d.prev
+	if t.entries == nil {
+		t.entries = map[string]*V{}
+	}
+	v := new(V)
+	t.entries[key] = v
+	t.order = append(t.order, key)
+	if len(t.order) > ParamMemoLimit {
+		delete(t.entries, t.order[0])
+		t.order = append(t.order[:0], t.order[1:]...)
+	}
+	return v
+}
+
+// stage is one single-flight Stage computation.
+type stage struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+// fold is one key's fold memo: the latest generation folded to and the
+// states at it and at the generation before.
+type fold struct {
+	mu           sync.Mutex
+	ok           bool
+	gen          int
+	before, last any
+}
+
+// Stage returns fn's result, computed at most once per snapshot and
+// key: an intermediate result several analyses share, such as the
+// partition behind both "clusters" and "cluster-profiles". Concurrent
+// callers of one key wait for the first one's computation. Results
+// must be pure functions of the dataset and key; the memo holds at
+// most ParamMemoLimit keys and dies with the snapshot. A dataset
+// constructed literally has no memo and computes every call.
+func (d *Dataset) Stage(key string, fn func() (any, error)) (any, error) {
+	if d.snap == nil {
+		return fn()
+	}
+	s := d.snap.stages.entry(key)
+	s.once.Do(func() { s.val, s.err = fn() })
+	return s.val, s.err
+}
+
+// Fold returns state(g) of a fold over the dataset's lineage, g being
+// this snapshot's generation: state(i) = step(runs, state(i−1), i == g),
+// where runs is the comparable set as it stood at generation i (the
+// last call gets Comparable itself) and state(−1) is nil. It lets a
+// warm-startable kernel continue the previous generation's state while
+// every result stays a pure function of (lineage, key), whatever was
+// requested before. The lineage keeps, per key, only the latest
+// generation folded to, so a request resumes from there instead of
+// from the start. Concurrent folds of one key may repeat steps, never
+// change results. A dataset not produced by a builder snapshot is a
+// one-generation lineage.
+func (d *Dataset) Fold(key string, step func(runs []*model.Run, prev any, last bool) any) any {
+	if d.snap == nil {
+		return step(d.Comparable, nil, true)
+	}
+	bounds := d.snap.bounds
+	g := len(bounds) - 1
+	f := d.snap.folds.entry(key)
+	f.mu.Lock()
+	from, prev := 0, any(nil)
+	switch {
+	case f.ok && f.gen < g:
+		from, prev = f.gen+1, f.last
+	case f.ok && f.gen == g:
+		from, prev = g, f.before
+	}
+	f.mu.Unlock()
+	state := prev
+	for i := from; i <= g; i++ {
+		prev = state
+		state = step(d.Comparable[:bounds[i]], prev, i == g)
+	}
+	f.mu.Lock()
+	if !f.ok || f.gen < g {
+		f.ok, f.gen, f.before, f.last = true, g, prev, state
+	}
+	f.mu.Unlock()
+	return state
 }
 
 // WithKernel returns a shallow copy of the dataset with the kernel
-// observer attached — same corpus slices, same cache identity. The
+// observer attached — same corpus slices, same memos. The
 // receiver is never mutated: datasets are shared across concurrent
 // analyses, and the observer is per-request state.
 func (d *Dataset) WithKernel(obs KernelObserver) *Dataset {
@@ -145,5 +241,5 @@ func BuildDataset(runs []*model.Run) *Dataset {
 	for _, r := range runs {
 		b.Add(r)
 	}
-	return b.Dataset()
+	return b.Snapshot()
 }

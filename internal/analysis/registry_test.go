@@ -97,7 +97,7 @@ func TestDatasetBuilderMatchesBatch(t *testing.T) {
 		}
 		b.Add(r)
 	}
-	incr := b.Dataset()
+	incr := b.Snapshot()
 
 	if incr.Funnel.String() != batch.Funnel.String() {
 		t.Errorf("funnels differ:\n%s\nvs\n%s", incr.Funnel, batch.Funnel)

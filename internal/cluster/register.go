@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/model"
 )
 
 // Defaults of the registered analyses' parameter schemas. A request
@@ -127,7 +127,7 @@ func sweepRangeParams(kmaxDefault int) []analysis.Param {
 
 // partitionSchema declares the knobs of the "clusters" and
 // "cluster-profiles" analyses — both describe the same partition, so
-// they share one schema (and, through the partition cache, one
+// they share one schema (and, through the dataset's stage memo, one
 // computation per parameterization). The canonical identity is
 // schema-wide: a knob the selected algorithm happens to ignore
 // (linkage under kmeans, say) still keys a distinct scenario. Equal
@@ -161,136 +161,19 @@ func sweepSchema() analysis.Schema {
 	return append(s, sweepRangeParams(sweepKMax)...)
 }
 
-// partition is the shared outcome of one parameterized clustering: the
-// feature matrix plus the labeled partition and its silhouette. k == 0
-// means the corpus slice had fewer than two comparable runs (or the
-// auto-k sweep had no room after clamping) — nothing to cluster, but
-// not an error.
+// partition is the shared outcome of one parameterized clustering:
+// the labeled partition and its silhouette. k == 0 means the corpus
+// slice had fewer than two comparable runs (or the auto-k sweep had no
+// room after clamping) — nothing to cluster, but not an error. It holds
+// no feature matrix: re-extracting one costs a fraction of a
+// millisecond, while keeping one per memoized partition would weigh on
+// the server's resident heap.
 type partition struct {
-	m      *Matrix
-	algo   string // reported label: "kmeans++" or "hac/<linkage>"
+	algo   string // reported label: "kmeans++", "hac/<linkage>" or "minibatch"
 	k      int
 	labels []int
 	sil    float64
 }
-
-// memoRing is the tiny bounded (dataset, key) → value memo behind the
-// clustering analyses. The ring is small and bounded: an evicted entry
-// just recomputes, and because the whole pipeline is deterministic,
-// concurrent misses that race to fill a slot store identical values.
-type memoRing[T any] struct {
-	mu      sync.Mutex
-	entries [8]memoEntry[T]
-	next    int
-	// Lifetime counters, guarded by mu. Plain counts only — this code is
-	// reachable from registered analyses, so no clocks or I/O here; the
-	// serving layer reads them out via MemoRingCounters.
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-type memoEntry[T any] struct {
-	// ds is the dataset's CacheKey, not the pointer itself: the engine
-	// hands traced requests a shallow WithKernel copy, and both copies
-	// must hit the same entry.
-	ds  any
-	key string
-	val T
-}
-
-func (r *memoRing[T]) get(ds *analysis.Dataset, key string) (T, bool) {
-	return r.getByID(ds.CacheKey(), key)
-}
-
-// getByID is get keyed by a raw cache identity, for callers holding a
-// dataset lineage key rather than the dataset itself (the mini-batch
-// warm-start path). A nil id — a dataset with no predecessor — is
-// always a miss: empty ring slots must never match it.
-func (r *memoRing[T]) getByID(id any, key string) (T, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if id != nil {
-		for _, e := range r.entries {
-			if e.ds == id && e.key == key {
-				r.hits++
-				return e.val, true
-			}
-		}
-	}
-	r.misses++
-	var zero T
-	return zero, false
-}
-
-func (r *memoRing[T]) put(ds *analysis.Dataset, key string, val T) {
-	r.putByID(ds.CacheKey(), key, val)
-}
-
-func (r *memoRing[T]) putByID(id any, key string, val T) {
-	r.mu.Lock()
-	if r.entries[r.next].ds != nil {
-		r.evictions++
-	}
-	r.entries[r.next] = memoEntry[T]{ds: id, key: key, val: val}
-	r.next = (r.next + 1) % len(r.entries)
-	r.mu.Unlock()
-}
-
-// counters snapshots one ring's lifetime counts.
-func (r *memoRing[T]) counters() RingCounters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RingCounters{Hits: r.hits, Misses: r.misses, Evictions: r.evictions}
-}
-
-// RingCounters is one memo ring's lifetime hit/miss/eviction counts.
-type RingCounters struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-}
-
-// MemoRingStats snapshots the package's memo rings — the partition ring
-// behind "clusters"/"cluster-profiles", the sweep ring behind the
-// auto-k branch and "cluster-sweep", and the warm ring carrying
-// mini-batch online state across dataset generations.
-type MemoRingStats struct {
-	Partition RingCounters
-	Sweep     RingCounters
-	Warm      RingCounters
-}
-
-// MemoRingCounters reports the process-wide memo-ring counters, for the
-// serving layer's /metrics exposition.
-func MemoRingCounters() MemoRingStats {
-	return MemoRingStats{
-		Partition: partitionCache.counters(),
-		Sweep:     sweepCache.counters(),
-		Warm:      warmCache.counters(),
-	}
-}
-
-// partitionCache memoizes partitionFor per (dataset, canonical params)
-// so "clusters" and "cluster-profiles" — fanned out concurrently by
-// Engine.Run — share one computation per scenario instead of each
-// paying for it. sweepCache memoizes sweepFor per (dataset, features,
-// range, seed): the auto-k branch of the partition and the
-// "cluster-sweep" analysis both need the same SweepK — the dominant
-// cost of a default clustering — so sharing it keeps "run clusters and
-// its sweep" at one sweep instead of two.
-var (
-	partitionCache memoRing[*partition]
-	sweepCache     memoRing[[]SweepPoint]
-	// warmCache carries mini-batch online state (centroids + counts)
-	// across dataset generations: entries are stored under the dataset
-	// that produced them and looked up under the successor's
-	// PrevCacheKey, so an appended-to corpus continues its predecessor's
-	// clustering instead of re-seeding. An evicted entry just means a
-	// cold re-seed — determinism holds per lineage either way, because a
-	// fixed append sequence replays fixed lookups.
-	warmCache memoRing[miniWarm]
-)
 
 // miniWarm is the online state one mini-batch run hands its successor.
 type miniWarm struct {
@@ -298,37 +181,35 @@ type miniWarm struct {
 	counts []int64
 }
 
-// partitionFor computes (or recalls) the partition the params describe
-// over the dataset's comparable runs.
+// partitionFor computes (or recalls from the dataset's stage memo) the
+// partition the params describe over the dataset's comparable runs, so
+// "clusters" and "cluster-profiles" — fanned out concurrently by
+// Engine.Run — share one computation per scenario.
 func partitionFor(ds *analysis.Dataset, params analysis.Params) (*partition, error) {
-	key := params.Canonical()
-	if p, ok := partitionCache.get(ds, key); ok {
-		return p, nil
-	}
-	p, err := computePartition(ds, params)
+	v, err := ds.Stage("partition|"+params.Canonical(), func() (any, error) {
+		return computePartition(ds, params)
+	})
 	if err != nil {
 		return nil, err
 	}
-	partitionCache.put(ds, key, p)
-	return p, nil
+	return v.(*partition), nil
 }
 
 // sweepFor computes (or recalls) the k sweep of m over [kmin, kmax]
 // under seed. Equal feature selections over one dataset produce equal
-// matrices (extraction is deterministic), so the cache keys by the
+// matrices (extraction is deterministic), so the stage keys by the
 // sweep-relevant inputs alone, letting the partition path and the
-// sweep analysis share entries across their different schemas.
-func sweepFor(ds *analysis.Dataset, m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, error) {
-	key := fmt.Sprintf("%s|%d|%d|%d", strings.Join(m.Features, ","), kmin, kmax, seed)
-	if pts, ok := sweepCache.get(ds, key); ok {
-		return pts, nil
-	}
-	pts, err := SweepK(m, kmin, kmax, seed, workers)
+// sweep analysis share one SweepK — the dominant cost of a default
+// clustering — across their different schemas.
+func sweepFor(ds *analysis.Dataset, m *Matrix, kmin, kmax int, seed int64) ([]SweepPoint, error) {
+	key := fmt.Sprintf("sweep|%s|%d|%d|%d", strings.Join(m.Features, ","), kmin, kmax, seed)
+	v, err := ds.Stage(key, func() (any, error) {
+		return SweepK(m, kmin, kmax, seed, ds.Workers)
+	})
 	if err != nil {
 		return nil, err
 	}
-	sweepCache.put(ds, key, pts)
-	return pts, nil
+	return v.([]SweepPoint), nil
 }
 
 const (
@@ -377,121 +258,133 @@ func hacObserver(ds *analysis.Dataset) func(batch, merges int, maxDist float64) 
 	}
 }
 
+// computePartition clusters the dataset's comparable runs. Mini-batch
+// k-means warm-starts each generation from the one before, so its
+// partition is the last step of a fold over the dataset's lineage:
+// state(g) = MiniBatch(comparable runs at g, warm = state(g−1)). The
+// result depends only on the corpus's append history and the params,
+// never on which generations were requested before.
 func computePartition(ds *analysis.Dataset, p analysis.Params) (*partition, error) {
-	m, err := Extract(ds.Comparable, Options{Features: p.Strings("features")})
+	if p.Str("algo") != "minibatch" {
+		part, _, err := partitionOf(ds, ds.Comparable, p, nil, true)
+		return part, err
+	}
+	var part *partition
+	var err error
+	ds.Fold(p.Canonical(), func(runs []*model.Run, prev any, last bool) any {
+		warm, _ := prev.(*miniWarm)
+		pt, next, stepErr := partitionOf(ds, runs, p, warm, last)
+		if last {
+			part, err = pt, stepErr
+		}
+		return next
+	})
+	return part, err
+}
+
+// partitionOf clusters runs under p, resolving k exactly as a request
+// would. For mini-batch it also returns the online state the next
+// generation warm-starts from (nil when no run was clustered). A step
+// that is not the last of a fold is silent — no kernel events — and
+// skips the silhouette and the shared sweep stage, since it only
+// carries state forward.
+func partitionOf(ds *analysis.Dataset, runs []*model.Run, p analysis.Params, warm *miniWarm, last bool) (*partition, *miniWarm, error) {
+	m, err := Extract(runs, Options{Features: p.Strings("features")})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	algo := p.Str("algo")
-	label := algoKMeans
+	part := &partition{algo: algoKMeans}
 	switch algo {
 	case "hac":
-		label = "hac/" + p.Str("linkage")
+		part.algo = "hac/" + p.Str("linkage")
 	case "minibatch":
-		label = algoMiniBatch
+		part.algo = algoMiniBatch
 	}
-	part := &partition{m: m, algo: label}
 	n := len(m.Rows)
 	if n < 2 {
-		return part, nil // nothing to cluster; degrade, don't error
+		return part, nil, nil // nothing to cluster; degrade, don't error
 	}
 	k := p.Int("k")
 	if k > n {
-		return nil, analysis.BadParams("k = %d exceeds the %d clusterable runs", k, n)
+		return nil, nil, analysis.BadParams("k = %d exceeds the %d clusterable runs", k, n)
 	}
-	workers := ds.Workers
+	workers, seed := ds.Workers, p.Int64("seed")
+	var sweep []SweepPoint
+	if k == 0 && algo != "hac" {
+		kmin, kmax, err := sweepRange(p, n)
+		if err != nil {
+			return nil, nil, err
+		}
+		if kmax < kmin {
+			return part, nil, nil // corpus smaller than the sweep floor
+		}
+		if last {
+			sweep, err = sweepFor(ds, m, kmin, kmax, seed)
+		} else {
+			sweep, err = SweepK(m, kmin, kmax, seed, workers)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		k = AutoK(sweep)
+	}
+	var next *miniWarm
 	switch algo {
 	case "kmeans":
-		seed := p.Int64("seed")
-		if k == 0 {
-			kmin, kmax, err := sweepRange(p, n)
-			if err != nil {
-				return nil, err
-			}
-			if kmax < kmin {
-				return part, nil // corpus smaller than the sweep floor
-			}
-			sweep, err := sweepFor(ds, m, kmin, kmax, seed, workers)
-			if err != nil {
-				return nil, err
-			}
-			k = AutoK(sweep)
-			res, err := KMeans(m, KMeansOptions{K: k, Seed: seed, Workers: workers,
-				OnIteration: kmeansObserver(ds)})
-			if err != nil {
-				return nil, err
-			}
-			part.k, part.labels = res.K, res.Labels
-			// The sweep already scored this k; the same seed reproduces
-			// the same labels, so the silhouette carries over exactly.
-			for _, pt := range sweep {
-				if pt.K == k {
-					part.sil = pt.Silhouette
-				}
-			}
-			return part, nil
-		}
 		res, err := KMeans(m, KMeansOptions{K: k, Seed: seed, Workers: workers,
 			OnIteration: kmeansObserver(ds)})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		part.k, part.labels = res.K, res.Labels
-		part.sil = Silhouette(m, res.Labels, res.K, workers)
-		return part, nil
 	case "hac":
 		cut := p.Float("cut")
 		if k == 0 && cut == 0 {
-			return nil, analysis.BadParams("algo=hac needs k or cut")
+			return nil, nil, analysis.BadParams("algo=hac needs k or cut")
 		}
 		lk, err := ParseLinkage(p.Str("linkage"))
 		if err != nil {
-			return nil, err // unreachable: the enum admits only valid spellings
+			return nil, nil, err // unreachable: the enum admits only valid spellings
 		}
 		res, err := HAC(m, HACOptions{Linkage: lk, K: k, Cut: cut, Workers: workers,
 			OnMergeBatch: hacObserver(ds)})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		part.k, part.labels = res.K, res.Labels
-		part.sil = Silhouette(m, res.Labels, res.K, workers)
-		return part, nil
 	case "minibatch":
-		seed := p.Int64("seed")
-		if k == 0 {
-			kmin, kmax, err := sweepRange(p, n)
-			if err != nil {
-				return nil, err
-			}
-			if kmax < kmin {
-				return part, nil // corpus smaller than the sweep floor
-			}
-			sweep, err := sweepFor(ds, m, kmin, kmax, seed, workers)
-			if err != nil {
-				return nil, err
-			}
-			k = AutoK(sweep)
+		mbo := MiniBatchOptions{K: k, Seed: seed, BatchSize: p.Int("batch"), Workers: workers}
+		if last {
+			mbo.OnIteration = minibatchObserver(ds)
 		}
-		mbo := MiniBatchOptions{K: k, Seed: seed, BatchSize: p.Int("batch"),
-			Workers: workers, OnIteration: minibatchObserver(ds)}
-		// Warm-start from the predecessor dataset's online state (the
-		// partition this same parameterization produced before the last
-		// append), when one exists and its shape still fits.
-		if w, ok := warmCache.getByID(ds.PrevCacheKey(), p.Canonical()); ok {
-			mbo.InitCentroids, mbo.InitCounts = w.cents, w.counts
+		if warm != nil {
+			mbo.InitCentroids, mbo.InitCounts = warm.cents, warm.counts
 		}
 		res, err := MiniBatch(m, mbo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		warmCache.putByID(ds.CacheKey(), p.Canonical(),
-			miniWarm{cents: res.Centroids, counts: res.Counts})
+		next = &miniWarm{cents: res.Centroids, counts: res.Counts}
 		part.k, part.labels = res.K, res.Labels
-		part.sil = Silhouette(m, res.Labels, res.K, workers)
-		return part, nil
 	default:
-		return nil, analysis.BadParams("unknown algo %q", algo)
+		return nil, nil, analysis.BadParams("unknown algo %q", algo)
 	}
+	if !last {
+		return part, next, nil
+	}
+	if algo == "kmeans" && sweep != nil {
+		// The sweep already scored this k; the same seed reproduces
+		// the same labels, so the silhouette carries over exactly.
+		for _, pt := range sweep {
+			if pt.K == k {
+				part.sil = pt.Silhouette
+			}
+		}
+	} else {
+		part.sil = Silhouette(m, part.labels, part.k, workers)
+	}
+	return part, next, nil
 }
 
 // sweepRange reads kmin/kmax, rejects an inverted request, and clamps
@@ -513,11 +406,15 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			m, err := Extract(ds.Comparable, Options{Features: p.Strings("features")})
+			if err != nil {
+				return nil, err
+			}
 			if part.k == 0 {
-				return Result{Algo: part.algo, Features: part.m.Features,
+				return Result{Algo: part.algo, Features: m.Features,
 					Sizes: []int{}, Assignments: []Assignment{}}, nil
 			}
-			return newResult(part.algo, part.m, part.labels, part.k, part.sil), nil
+			return newResult(part.algo, m, part.labels, part.k, part.sil), nil
 		}, analysis.Reads(analysis.InputComparable))
 	analysis.RegisterParams("cluster-profiles",
 		"per-cluster phenotypes: dominant vendor, median cores/score, year range",
@@ -534,7 +431,7 @@ func init() {
 				Algo:       part.algo,
 				K:          part.k,
 				Silhouette: part.sil,
-				Profiles:   Profiles(part.m.Runs, part.labels, part.k),
+				Profiles:   Profiles(ds.Comparable, part.labels, part.k),
 			}, nil
 		}, analysis.Reads(analysis.InputComparable))
 	analysis.RegisterParams("cluster-sweep",
@@ -552,6 +449,6 @@ func init() {
 			if kmax < kmin {
 				return []SweepPoint{}, nil
 			}
-			return sweepFor(ds, m, kmin, kmax, p.Int64("seed"), ds.Workers)
+			return sweepFor(ds, m, kmin, kmax, p.Int64("seed"))
 		}, analysis.Reads(analysis.InputComparable))
 }

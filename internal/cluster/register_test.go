@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"strconv"
 	"testing"
 
 	"repro/internal/analysis"
@@ -290,64 +289,3 @@ func TestClustersBadParamCombos(t *testing.T) {
 		t.Errorf("sweep inverted range: err = %v, want *analysis.BadParamsError", err)
 	}
 }
-
-// TestMemoRingCounters: the partition and sweep rings count hits,
-// misses, and ring-slot evictions. Counters are process-global, so the
-// test asserts deltas over its own sequential requests.
-func TestMemoRingCounters(t *testing.T) {
-	opt := synth.DefaultOptions()
-	opt.Plan = []synth.YearPlan{
-		{Year: 2020, Parsed: 40, AMDShare: 0.3, LinuxShare: 0.3, TwoSocketShare: 0.7},
-	}
-	runs, err := synth.Generate(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := analysis.BuildDataset(runs)
-	ds.Workers = 2
-
-	before := cluster.MemoRingCounters()
-	// Nine distinct parameterizations overflow the 8-slot ring, so the
-	// ninth put must evict the first; re-requesting the first then
-	// misses and recomputes.
-	for i := 0; i < 9; i++ {
-		if _, err := runOn(t, ds, "clusters",
-			map[string]string{"k": "3", "seed": itoa(9001 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := runOn(t, ds, "clusters",
-		map[string]string{"k": "3", "seed": "9009"}); err != nil { // resident: hit
-		t.Fatal(err)
-	}
-	if _, err := runOn(t, ds, "clusters",
-		map[string]string{"k": "3", "seed": "9001"}); err != nil { // evicted: miss
-		t.Fatal(err)
-	}
-	after := cluster.MemoRingCounters()
-	if got := after.Partition.Misses - before.Partition.Misses; got != 10 {
-		t.Errorf("partition misses delta = %d, want 10", got)
-	}
-	if got := after.Partition.Hits - before.Partition.Hits; got != 1 {
-		t.Errorf("partition hits delta = %d, want 1", got)
-	}
-	// At least the wrap-around eviction and the recompute's re-insert;
-	// more if earlier tests left residents in the overwritten slots.
-	if got := after.Partition.Evictions - before.Partition.Evictions; got < 2 {
-		t.Errorf("partition evictions delta = %d, want >= 2", got)
-	}
-
-	before = cluster.MemoRingCounters()
-	for i := 0; i < 2; i++ {
-		if _, err := runOn(t, ds, "cluster-sweep",
-			map[string]string{"kmax": "4"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after = cluster.MemoRingCounters()
-	if h, m := after.Sweep.Hits-before.Sweep.Hits, after.Sweep.Misses-before.Sweep.Misses; h != 1 || m != 1 {
-		t.Errorf("sweep hits/misses delta = %d/%d, want 1/1", h, m)
-	}
-}
-
-func itoa(n int) string { return strconv.Itoa(n) }

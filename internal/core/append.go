@@ -15,11 +15,15 @@ import (
 // overlay in append order, so the stream stays deterministic for a
 // fixed append sequence.
 //
-// The generation composes into the fingerprint, so ETags derived from
-// it change exactly when content does — including when the change
-// happened underneath the inner source (a watcher dropping a new
-// result file into a DirSource's directory advances the generation via
-// Bump without duplicating the file into the overlay).
+// The generation and the batch boundaries compose into the
+// fingerprint, so ETags derived from it change exactly when content
+// does — including when the change happened underneath the inner
+// source (a watcher dropping a new result file into a DirSource's
+// directory advances the generation via Bump without duplicating the
+// file into the overlay). Each Append batch is one generation of the
+// lineage an engine over this source replays (see generational), so
+// warm-started results depend on how runs were batched, and the
+// fingerprint says so.
 //
 // All methods are safe for concurrent use.
 type AppendSource struct {
@@ -27,6 +31,7 @@ type AppendSource struct {
 
 	mu       sync.RWMutex
 	appended []*model.Run
+	ends     []int // overlay length after each Append: the batch boundaries
 	gen      uint64
 }
 
@@ -68,6 +73,7 @@ func (s *AppendSource) Append(runs ...*model.Run) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.appended = append(s.appended, runs...)
+	s.ends = append(s.ends, len(s.appended))
 	s.gen++
 	return s.gen
 }
@@ -99,8 +105,8 @@ func (s *AppendSource) AppendedRuns() int {
 }
 
 // Fingerprint implements Fingerprinter: the generation, the inner
-// fingerprint, and the overlay run IDs, all under one lock so a
-// fingerprint never mixes two generations' overlays.
+// fingerprint, and each overlay batch's size and run IDs, all under one
+// lock so a fingerprint never mixes two generations' overlays.
 func (s *AppendSource) Fingerprint() (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -108,27 +114,30 @@ func (s *AppendSource) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	parts := make([]string, 0, len(s.appended)+3)
+	parts := make([]string, 0, len(s.appended)+len(s.ends)+3)
 	parts = append(parts, "append", strconv.FormatUint(s.gen, 10), inner)
-	for _, r := range s.appended {
-		parts = append(parts, r.ID)
+	start := 0
+	for _, end := range s.ends {
+		parts = append(parts, strconv.Itoa(end-start))
+		for _, r := range s.appended[start:end] {
+			parts = append(parts, r.ID)
+		}
+		start = end
 	}
 	return Digest(parts...), nil
 }
 
-// SourceParts implements Parted: the inner source (decomposed if it
-// decomposes itself) followed by the overlay as a slice part, so
-// ingest traces show booted corpus and live appends separately.
-func (s *AppendSource) SourceParts() []Source {
+// generations implements generational: the inner source, then each
+// Append batch.
+func (s *AppendSource) generations() []Source {
 	s.mu.RLock()
-	overlay := s.appended[:len(s.appended):len(s.appended)]
-	s.mu.RUnlock()
-	parts := sourceParts(s.inner)
-	if parts == nil {
-		parts = []Source{s.inner}
+	defer s.mu.RUnlock()
+	gens := make([]Source, 0, len(s.ends)+1)
+	gens = append(gens, s.inner)
+	start := 0
+	for _, end := range s.ends {
+		gens = append(gens, SliceSource(s.appended[start:end:end]))
+		start = end
 	}
-	if len(overlay) > 0 {
-		parts = append(parts[:len(parts):len(parts)], SliceSource(overlay))
-	}
-	return parts
+	return gens
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -88,8 +89,8 @@ func TestAppendSourceStreamAndFingerprint(t *testing.T) {
 	if again != fp2 {
 		t.Error("fingerprint not deterministic for a quiesced source")
 	}
-	if parts := src.SourceParts(); len(parts) != 2 {
-		t.Errorf("SourceParts = %d parts, want inner + overlay", len(parts))
+	if gens := src.generations(); len(gens) != 2 {
+		t.Errorf("generations = %d, want inner + one Append batch", len(gens))
 	}
 }
 
@@ -291,4 +292,108 @@ func BenchmarkAppendVsRebuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestAppendSourceFingerprintBatchBoundaries: each Append batch is one
+// generation of the lineage warm-started analyses fold over, so the
+// fingerprint covers where batches split, not only which runs arrived.
+func TestAppendSourceFingerprintBatchBoundaries(t *testing.T) {
+	runs, err := GenerateCorpus(smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, a, b, c := runs[:len(runs)-3], runs[len(runs)-3], runs[len(runs)-2], runs[len(runs)-1]
+	fingerprint := func(batches ...[]*model.Run) string {
+		src := NewAppendSource(SliceSource(base))
+		for _, batch := range batches {
+			src.Append(batch...)
+		}
+		fp, err := src.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	for _, tc := range []struct {
+		name      string
+		x, y      [][]*model.Run
+		wantEqual bool
+	}{
+		{"ab|c vs a|bc", [][]*model.Run{{a, b}, {c}}, [][]*model.Run{{a}, {b, c}}, false},
+		{"abc vs a|b|c", [][]*model.Run{{a, b, c}, {}, {}}, [][]*model.Run{{a}, {b}, {c}}, false},
+		{"ab|c twice", [][]*model.Run{{a, b}, {c}}, [][]*model.Run{{a, b}, {c}}, true},
+	} {
+		if got := fingerprint(tc.x...) == fingerprint(tc.y...); got != tc.wantEqual {
+			t.Errorf("%s: fingerprints equal = %v, want %v", tc.name, got, tc.wantEqual)
+		}
+	}
+}
+
+// TestFreshEngineReplaysAppendLineage: an engine built over a grown
+// AppendSource — here through a FilterSource scope, as the serving
+// pool builds one after an eviction — replays the inner source and
+// each Append batch as one generation, so its warm-started mini-batch
+// clustering matches the engine that absorbed the batches live, even
+// when a batch brought the scope nothing.
+func TestFreshEngineReplaysAppendLineage(t *testing.T) {
+	runs, err := synth.Generate(synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := ParseFilter("vendor=intel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := analysis.Lookup("clusters")
+	params, err := reg.Params.Resolve(map[string]string{"algo": "minibatch", "k": "3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Name: "clusters", Params: params}
+	n := len(runs)
+	src := NewAppendSource(SliceSource(runs[:n-150]))
+	scope := FilterSource{Inner: src, Keep: keep, Desc: "vendor=intel"}
+	live := New(WithSource(scope), WithWorkers(2))
+	var amd []*model.Run
+	for _, r := range runs[n-150:] {
+		if r.CPUVendor == model.VendorAMD {
+			amd = append(amd, r)
+		}
+	}
+	for _, batch := range [][]*model.Run{runs[n-150 : n-90], amd, runs[n-90 : n-30]} {
+		if _, err := live.AnalysisRequest(req); err != nil {
+			t.Fatal(err)
+		}
+		src.Append(batch...)
+		var matching []*model.Run
+		for _, r := range batch {
+			if keep(r) {
+				matching = append(matching, r)
+			}
+		}
+		if _, err := live.Append(matching); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := func(eng *Engine) string {
+		v, err := eng.AnalysisRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := body(live)
+	if got := body(New(WithSource(scope), WithWorkers(2))); got != want {
+		t.Errorf("fresh engine over the grown scope diverged from the live one:\nfresh: %.200s\nlive:  %.200s", got, want)
+	}
+	// Ingesting all runs at once is a different lineage, and a
+	// different warm-start history.
+	flat := FilterSource{Inner: SliceSource(runs[:n-30]), Keep: keep, Desc: "vendor=intel"}
+	if got := body(New(WithSource(flat), WithWorkers(2))); got == want {
+		t.Error("a one-generation corpus served the appended lineage's clustering")
+	}
 }

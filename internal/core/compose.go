@@ -99,6 +99,36 @@ func (s FilterSource) SourceParts() []Source {
 	return out
 }
 
+// generational is implemented by sources that grew in recorded steps:
+// their stream is the concatenation of generations(), and an engine
+// ingesting one closes a dataset generation after each step, so a
+// fresh engine replays the lineage an engine that saw the steps live
+// built (see analysis.Dataset.Fold). MergeSource parts are not
+// generations: merging is composition, not growth.
+type generational interface {
+	generations() []Source
+}
+
+// generations implements generational: the inner source's generations,
+// each wrapped in the same filter.
+func (s FilterSource) generations() []Source {
+	gens := generations(s.Inner)
+	out := make([]Source, len(gens))
+	for i, g := range gens {
+		out[i] = FilterSource{Inner: g, Keep: s.Keep, Desc: s.Desc}
+	}
+	return out
+}
+
+// generations returns src's generations: src alone unless it is
+// generational.
+func generations(src Source) []Source {
+	if g, ok := src.(generational); ok {
+		return g.generations()
+	}
+	return []Source{src}
+}
+
 // sourceParts returns src's sequential decomposition, or nil.
 func sourceParts(src Source) []Source {
 	if p, ok := src.(Parted); ok {

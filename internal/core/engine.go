@@ -41,6 +41,12 @@ type Engine struct {
 	builder  *analysis.DatasetBuilder
 	appendMu sync.Mutex
 
+	// memos holds every computed analysis. Default-parameter entries
+	// (the fixed registry names the report renders) are never evicted;
+	// beyond analysis.ParamMemoLimit the oldest parameterized entry is
+	// dropped and a repeat request simply recomputes it
+	// (deterministically, so evicting mid-flight readers is harmless —
+	// they keep their own result).
 	mu         sync.Mutex
 	memos      map[memoKey]*memo
 	paramOrder []memoKey // non-default keys in insertion order, for eviction
@@ -58,16 +64,6 @@ type memoKey struct {
 	name   string
 	params string
 }
-
-// paramMemoLimit bounds the resident non-default parameterizations per
-// engine. Parameter values are request inputs — on a served engine,
-// client-controlled — so without a bound a scan over ?seed=1,2,3,…
-// would grow the memo map without limit. Default-parameter entries
-// (the fixed registry names the report renders) are never evicted;
-// beyond the bound the oldest parameterized entry is dropped and a
-// repeat request simply recomputes it (deterministically, so evicting
-// mid-flight readers is harmless — they keep their own result).
-const paramMemoLimit = 512
 
 // memo is one lazily computed analysis result.
 type memo struct {
@@ -230,32 +226,42 @@ func (e *Engine) emit(req Sink, ev Event) {
 	}
 }
 
-// streamSource drains the corpus into the builder. When the ingesting
-// request carries a sink and the source decomposes (Parted), each part
-// streams separately so the event gets per-source boundaries; the
-// merged stream is identical either way because part order is the
-// composite's drain order.
+// streamSource drains the corpus into the builder one generation at a
+// time (see generational), closing each generation but the last, which
+// the caller's Snapshot closes. When the ingesting request carries a
+// sink, each generation's parts (see Parted) stream separately so the
+// event gets per-source boundaries; the merged stream is identical
+// either way because part order is the composite's drain order.
 func (e *Engine) streamSource(b *analysis.DatasetBuilder, split bool, parts *[]IngestPart) error {
 	yield := func(r *model.Run) error {
 		b.Add(r)
 		return nil
 	}
-	if !split {
-		return e.src.Each(e.workers, yield)
-	}
-	ps := sourceParts(e.src)
-	if len(ps) < 2 {
-		return e.src.Each(e.workers, yield)
-	}
-	for _, p := range ps {
-		start := time.Now()
-		before := b.Len()
-		err := p.Each(e.workers, yield)
-		*parts = append(*parts, IngestPart{Source: p.Name(),
-			Start: start, End: time.Now(), Runs: b.Len() - before})
-		if err != nil {
-			return err
+	for i, gen := range generations(e.src) {
+		if i > 0 {
+			b.EndGeneration()
 		}
+		ps := []Source{gen}
+		if split {
+			if sp := sourceParts(gen); sp != nil {
+				ps = sp
+			}
+		}
+		for _, p := range ps {
+			start := time.Now()
+			before := b.Len()
+			err := p.Each(e.workers, yield)
+			if split {
+				*parts = append(*parts, IngestPart{Source: p.Name(),
+					Start: start, End: time.Now(), Runs: b.Len() - before})
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	if len(*parts) < 2 {
+		*parts = nil
 	}
 	return nil
 }
@@ -337,10 +343,10 @@ func (e *Engine) AnalysisRequest(req Request) (any, error) {
 		e.memos[key] = m
 		if key.params != "" {
 			e.paramOrder = append(e.paramOrder, key)
-			if len(e.paramOrder) > paramMemoLimit {
+			if len(e.paramOrder) > analysis.ParamMemoLimit {
 				delete(e.memos, e.paramOrder[0])
 				copy(e.paramOrder, e.paramOrder[1:])
-				e.paramOrder = e.paramOrder[:paramMemoLimit]
+				e.paramOrder = e.paramOrder[:analysis.ParamMemoLimit]
 			}
 		}
 	}
@@ -360,9 +366,8 @@ func (e *Engine) AnalysisRequest(req Request) (any, error) {
 				return
 			}
 			if e.sink != nil || req.Sink != nil {
-				// A shallow copy sharing the dataset's cache identity,
-				// so attaching the kernel observer never splits
-				// dataset-keyed caches downstream.
+				// A shallow copy sharing the dataset's memos, so
+				// attaching the kernel observer never splits them.
 				ds = ds.WithKernel(func(k analysis.KernelEvent) {
 					now := time.Now()
 					e.emit(req.Sink, Event{Kind: EventKernel, Name: key.name,

@@ -342,7 +342,7 @@ func TestEngineParamMemoBound(t *testing.T) {
 	if _, err := eng.Analysis("test_param_probe"); err != nil { // default entry
 		t.Fatal(err)
 	}
-	for i := 0; i < paramMemoLimit+10; i++ {
+	for i := 0; i < analysis.ParamMemoLimit+10; i++ {
 		p := paramProbeParams(t, map[string]string{"k": fmt.Sprint(i + 2)})
 		if _, err := eng.AnalysisRequest(Request{Name: "test_param_probe", Params: p}); err != nil {
 			t.Fatal(err)
@@ -352,12 +352,12 @@ func TestEngineParamMemoBound(t *testing.T) {
 	memos, order := len(eng.memos), len(eng.paramOrder)
 	_, defaultKept := eng.memos[memoKey{name: "test_param_probe"}]
 	eng.mu.Unlock()
-	if order != paramMemoLimit {
-		t.Errorf("paramOrder holds %d keys, want the cap %d", order, paramMemoLimit)
+	if order != analysis.ParamMemoLimit {
+		t.Errorf("paramOrder holds %d keys, want the cap %d", order, analysis.ParamMemoLimit)
 	}
-	if memos > paramMemoLimit+1 {
+	if memos > analysis.ParamMemoLimit+1 {
 		t.Errorf("memo map holds %d entries, want <= cap+default = %d",
-			memos, paramMemoLimit+1)
+			memos, analysis.ParamMemoLimit+1)
 	}
 	if !defaultKept {
 		t.Error("default-parameter entry was evicted")

@@ -422,3 +422,62 @@ func VerifyChain(r io.Reader) (VerifyResult, error) {
 	}
 	return VerifyResult{Records: n, HeadHash: head, HeadTraceID: headTrace}, nil
 }
+
+// ConsistencyError reports two records that served different bytes
+// under one identity: equal fingerprint, analysis, params and filter,
+// different result digests. Strong ETags derive from that identity, so
+// such a pair means one validator covered two bodies.
+type ConsistencyError struct {
+	// First and Second are the zero-based record positions, First the
+	// earliest record of the identity.
+	First, Second int
+	Analysis      string
+	Params        string
+	Filter        string
+}
+
+func (e *ConsistencyError) Error() string {
+	return fmt.Sprintf("obs: records %d and %d served different bytes for analysis %q params %q filter %q under one fingerprint",
+		e.First, e.Second, e.Analysis, e.Params, e.Filter)
+}
+
+// VerifyConsistency reads an audit log and checks that its identities
+// are consistent with its bodies: every record with the same
+// (fingerprint, analysis, params, filter) carries the same result
+// digest. It returns the first conflicting pair as a
+// *ConsistencyError. It checks no chain link — VerifyChain does — and
+// reads records the way VerifyChain does, so run it on a log that
+// verified.
+func VerifyConsistency(r io.Reader) error {
+	type identity struct{ fingerprint, analysis, params, filter string }
+	type first struct {
+		index  int
+		digest string
+	}
+	seen := map[identity]first{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	n := 0
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return fmt.Errorf("obs: audit record %d: %w", n, err)
+		}
+		id := identity{rec.Fingerprint, rec.Analysis, rec.Params, rec.Filter}
+		if f, ok := seen[id]; !ok {
+			seen[id] = first{n, rec.ResultDigest}
+		} else if f.digest != rec.ResultDigest {
+			return &ConsistencyError{First: f.index, Second: n,
+				Analysis: rec.Analysis, Params: rec.Params, Filter: rec.Filter}
+		}
+		n++
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("obs: audit log read: %w", err)
+	}
+	return nil
+}

@@ -337,3 +337,50 @@ func TestAuditFlushStats(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyConsistency: records sharing (fingerprint, analysis,
+// params, filter) must share a result digest. Repeats with equal
+// digests and distinct identities pass; one conflicting pair fails
+// naming both record positions, whatever lies between them.
+func TestVerifyConsistency(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.log")
+	l := openTestLog(t, path, AuditOptions{})
+	for i := 0; i < 4; i++ {
+		l.Append(testEntry(i))
+	}
+	l.Append(testEntry(1)) // same identity, same bytes: consistent
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := VerifyConsistency(f); err != nil {
+		t.Fatalf("consistent log: %v", err)
+	}
+
+	conflict := testEntry(2)
+	conflict.ResultDigest = ResultDigest([]byte("other body"))
+	l = openTestLog(t, path, AuditOptions{})
+	l.Append(conflict)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verifyFile(t, path); err != nil {
+		t.Fatalf("chain of the conflicting log: %v", err)
+	}
+	g, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var ce *ConsistencyError
+	if err := VerifyConsistency(g); !errors.As(err, &ce) {
+		t.Fatalf("conflicting log: err = %v, want *ConsistencyError", err)
+	}
+	if ce.First != 2 || ce.Second != 5 || ce.Params != "k=2" {
+		t.Errorf("conflict = records %d and %d params %q, want 2 and 5 params k=2", ce.First, ce.Second, ce.Params)
+	}
+}

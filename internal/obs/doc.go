@@ -24,7 +24,9 @@
 // record's hash covers the previous record's hash, so truncating,
 // reordering, or mutating any byte of any record breaks the chain from
 // that point on. VerifyChain detects the first broken record and
-// reports its index. Appends go through a batching writer (bounded
+// reports its index; VerifyConsistency finds two records that served
+// different bytes under one (fingerprint, analysis, params, filter)
+// identity. Appends go through a batching writer (bounded
 // channel, background goroutine, flush on batch size, interval, or
 // Close) so the serving hot path never blocks on file I/O, and Close
 // drains every queued record before returning — a graceful shutdown

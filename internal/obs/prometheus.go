@@ -49,10 +49,6 @@ type ServerGauges struct {
 	PoolEvictionsBuildFailed  int64
 	PoolEvictionsIngestFailed int64
 
-	// MemoRings carries the cluster package's bounded memo-ring counters,
-	// one row per ring, in the order the caller wants them exposed.
-	MemoRings []MemoRingGauge
-
 	// Gob parse-cache counters (process-wide, all CachedSource streams).
 	ParseCacheHits          int64
 	ParseCacheMisses        int64
@@ -73,15 +69,6 @@ type ServerGauges struct {
 	Generation        uint64
 	AppendsTotal      int64
 	AppendedRunsTotal int64
-}
-
-// MemoRingGauge is one memo ring's counters for the exposition, labeled
-// by ring name.
-type MemoRingGauge struct {
-	Ring      string
-	Hits      int64
-	Misses    int64
-	Evictions int64
 }
 
 // seconds renders nanoseconds as a decimal seconds literal, the unit
@@ -145,20 +132,6 @@ func (c *Collector) WritePrometheus(w io.Writer, g ServerGauges) {
 	counter("specserve_pool_joins_total", "Requests that waited on another request's single-flight engine build.", g.PoolJoins)
 	counter("specserve_memo_hits_total", "Engine memo-cache hits (analysis requests that found an existing entry).", c.memoHits.Load())
 	counter("specserve_memo_misses_total", "Engine memo-cache misses; each miss is one analysis computation, so this equals specserve_computes_total.", c.computes.Load())
-	if len(g.MemoRings) > 0 {
-		writeHeader(w, "specserve_memo_ring_hits_total", "counter", "Bounded cluster memo-ring hits, by ring.")
-		for _, r := range g.MemoRings {
-			fmt.Fprintf(w, "specserve_memo_ring_hits_total{ring=%q} %d\n", escapeLabel(r.Ring), r.Hits)
-		}
-		writeHeader(w, "specserve_memo_ring_misses_total", "counter", "Bounded cluster memo-ring misses, by ring.")
-		for _, r := range g.MemoRings {
-			fmt.Fprintf(w, "specserve_memo_ring_misses_total{ring=%q} %d\n", escapeLabel(r.Ring), r.Misses)
-		}
-		writeHeader(w, "specserve_memo_ring_evictions_total", "counter", "Bounded cluster memo-ring slot evictions, by ring.")
-		for _, r := range g.MemoRings {
-			fmt.Fprintf(w, "specserve_memo_ring_evictions_total{ring=%q} %d\n", escapeLabel(r.Ring), r.Evictions)
-		}
-	}
 	counter("specserve_parse_cache_hits_total", "Gob parse-cache hits (size+mtime matched, parser skipped).", g.ParseCacheHits)
 	counter("specserve_parse_cache_misses_total", "Gob parse-cache misses (file absent from the cache).", g.ParseCacheMisses)
 	counter("specserve_parse_cache_invalidations_total", "Gob parse-cache entries invalidated by size or mtime change.", g.ParseCacheInvalidations)

@@ -329,8 +329,9 @@ func TestTextLogFormatPinned(t *testing.T) {
 }
 
 // TestMetricsNewFamilies pins the introspection families added to the
-// exposition: pool traffic, memo and memo-ring counters, and the gob
-// parse cache, with the eviction counter now labeled by reason.
+// exposition: pool traffic, memo counters, and the gob parse cache,
+// with the eviction counter now labeled by reason. The cluster package
+// keeps no process-global memo, so no memo-ring family is served.
 func TestMetricsNewFamilies(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	get(t, s, "/v1/analyses/funnel")
@@ -346,9 +347,6 @@ func TestMetricsNewFamilies(t *testing.T) {
 		`specserve_pool_evictions_total{reason="ingestion_failed"} 0`,
 		"specserve_memo_hits_total",
 		"specserve_memo_misses_total",
-		`specserve_memo_ring_hits_total{ring="partition"}`,
-		`specserve_memo_ring_misses_total{ring="sweep"}`,
-		`specserve_memo_ring_evictions_total{ring="partition"}`,
 		"specserve_parse_cache_hits_total",
 		"specserve_parse_cache_misses_total",
 		"specserve_parse_cache_invalidations_total",
@@ -356,6 +354,13 @@ func TestMetricsNewFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "specserve_memo_") &&
+			!strings.HasPrefix(line, "specserve_memo_hits_total ") &&
+			!strings.HasPrefix(line, "specserve_memo_misses_total ") {
+			t.Errorf("exposition serves a memo family beyond the engine memo: %q", line)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,8 +13,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/synth"
 )
 
 // postRun POSTs one result-file body to /v1/runs.
@@ -373,5 +376,63 @@ func TestLiveConcurrentAppendReads(t *testing.T) {
 	}
 	if s.Generation() != appends {
 		t.Errorf("generation = %d, want %d", s.Generation(), appends)
+	}
+}
+
+// TestLiveEvictedScopeServesSameBytes: a scope engine evicted after an
+// append and rebuilt from the grown source serves the mini-batch
+// clustering byte for byte as the engine that absorbed the append did,
+// under the same ETag — the rebuilt engine replays the append lineage,
+// so its warm starts match. The value is the seed-14 corpus's gen-1
+// body pinned in the cluster package's lineage test.
+func TestLiveEvictedScopeServesSameBytes(t *testing.T) {
+	runs, err := synth.Generate(synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(runs)
+	s := New(Config{Base: core.SliceSource(runs[:n-200]), Live: true, PoolSize: 1, Workers: 2})
+	const path = "/v1/analyses/clusters?algo=minibatch&k=3"
+	if rec := get(t, s, path); rec.Code != http.StatusOK {
+		t.Fatalf("gen 0 = %d: %s", rec.Code, rec.Body)
+	}
+	if _, err := s.AppendRuns(runs[n-200:]...); err != nil {
+		t.Fatal(err)
+	}
+	live := get(t, s, path)
+	if live.Code != http.StatusOK {
+		t.Fatalf("gen 1 = %d: %s", live.Code, live.Body)
+	}
+	// A request for another scope evicts the whole-corpus engine.
+	if rec := get(t, s, "/v1/analyses/funnel?filter=vendor=amd"); rec.Code != http.StatusOK {
+		t.Fatalf("evicting scope = %d: %s", rec.Code, rec.Body)
+	}
+	rebuilt := get(t, s, path)
+	if rebuilt.Code != http.StatusOK {
+		t.Fatalf("rebuilt gen 1 = %d: %s", rebuilt.Code, rebuilt.Body)
+	}
+	var stats StatsSnapshot
+	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.EngineBuilds != 3 {
+		t.Fatalf("engine builds = %d, want 3 (whole corpus, scope, whole corpus again)", stats.EngineBuilds)
+	}
+	if rebuilt.Header().Get("ETag") != live.Header().Get("ETag") {
+		t.Fatal("the rebuilt engine's ETag differs from the live one's")
+	}
+	if !bytes.Equal(rebuilt.Body.Bytes(), live.Body.Bytes()) {
+		t.Fatalf("one ETag, two bodies:\nlive:    %.200s\nrebuilt: %.200s", live.Body, rebuilt.Body)
+	}
+	var resp struct{ Value cluster.Result }
+	if err := json.Unmarshal(rebuilt.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	value, err := json.Marshal(resp.Value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(value))[:16]; got != "4d8350ba6526f06b" {
+		t.Errorf("gen-1 value hashes to %s, want 4d8350ba6526f06b", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package stats provides the descriptive-statistics substrate the paper's
-// analysis relies on: means, quantiles, dispersion, histograms, boxplot
-// summaries, ordinary-least-squares regression, Pearson and Spearman
-// correlation, and bootstrap confidence intervals.
+// analysis relies on: means, quantiles, dispersion, boxplot summaries,
+// ordinary-least-squares regression, and Pearson and Spearman
+// correlation.
 //
 // Go has no pandas/scipy equivalent, so this package reimplements the
 // small, well-defined subset needed by the longitudinal analysis. All
