@@ -46,8 +46,10 @@
 // polls the directory -in corpora (every -watch-interval): new result
 // files are absorbed like POSTed runs, while modified or deleted files
 // — changes an append cannot express — reset the engine pool so every
-// scope rebuilds from the changed directory. Generation and append
-// counters surface in /v1/stats, /v1/pool, and /metrics
+// scope rebuilds from the changed directory. Under -filter, a POSTed
+// run outside the slice is refused with a 422 and a new file outside it
+// is skipped with a log line; neither moves the generation. Generation
+// and append counters surface in /v1/stats, /v1/pool, and /metrics
 // (specserve_generation, specserve_appends_total).
 //
 // Usage:
@@ -212,6 +214,10 @@ func main() {
 					run, err := core.ParseResultFile(path)
 					if err != nil {
 						log.Printf("watch: %v", err)
+						continue
+					}
+					if err := srv.Admit(run); err != nil {
+						log.Printf("watch: skipping %s: %v", path, err)
 						continue
 					}
 					runs = append(runs, run)

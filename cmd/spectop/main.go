@@ -190,10 +190,12 @@ func render(w io.Writer, addr string, s *snapshot) {
 		st.PoolEngines, st.PoolCapacity, st.EngineBuilds,
 		st.PoolHits, st.PoolMisses, st.PoolJoins,
 		strings.TrimSpace(ratio(float64(st.PoolHits), float64(st.PoolMisses))))
-	fmt.Fprintf(w, "evictions  lru %.0f   build_failed %.0f   ingestion_failed %.0f\n",
+	fmt.Fprintf(w, "evictions  lru %.0f   build_failed %.0f   ingestion_failed %.0f   append_failed %.0f   reset %.0f\n",
 		mx[`specserve_pool_evictions_total{reason="lru"}`],
 		mx[`specserve_pool_evictions_total{reason="build_failed"}`],
-		mx[`specserve_pool_evictions_total{reason="ingestion_failed"}`])
+		mx[`specserve_pool_evictions_total{reason="ingestion_failed"}`],
+		mx[`specserve_pool_evictions_total{reason="append_failed"}`],
+		mx[`specserve_pool_evictions_total{reason="reset"}`])
 	if st.Live != nil {
 		fmt.Fprintf(w, "live       generation %-6d appends %-6d appended runs %d\n",
 			st.Live.Generation, st.Live.Appends, st.Live.AppendedRuns)

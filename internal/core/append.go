@@ -21,7 +21,7 @@ import (
 // source (a watcher dropping a new result file into a DirSource's
 // directory advances the generation via Bump without duplicating the
 // file into the overlay). Each Append batch is one generation of the
-// lineage an engine over this source replays (see generational), so
+// lineage an engine over this source replays (see segments), so
 // warm-started results depend on how runs were batched, and the
 // fingerprint says so.
 //
@@ -125,19 +125,4 @@ func (s *AppendSource) Fingerprint() (string, error) {
 		start = end
 	}
 	return Digest(parts...), nil
-}
-
-// generations implements generational: the inner source, then each
-// Append batch.
-func (s *AppendSource) generations() []Source {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	gens := make([]Source, 0, len(s.ends)+1)
-	gens = append(gens, s.inner)
-	start := 0
-	for _, end := range s.ends {
-		gens = append(gens, SliceSource(s.appended[start:end:end]))
-		start = end
-	}
-	return gens
 }

@@ -89,8 +89,8 @@ func TestAppendSourceStreamAndFingerprint(t *testing.T) {
 	if again != fp2 {
 		t.Error("fingerprint not deterministic for a quiesced source")
 	}
-	if gens := src.generations(); len(gens) != 2 {
-		t.Errorf("generations = %d, want inner + one Append batch", len(gens))
+	if segs := segments(src); len(segs) != 2 || segs[0].opens || !segs[1].opens {
+		t.Errorf("segments = %+v, want the inner source, then one generation-opening Append batch", segs)
 	}
 }
 

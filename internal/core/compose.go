@@ -70,71 +70,53 @@ func (s MergeSource) Each(workers int, yield func(*model.Run) error) error {
 	return nil
 }
 
-// Parted is implemented by composite sources that decompose into
-// sequential parts whose concatenated streams equal their own. Tracing
-// uses it to give a merged corpus per-source ingest sub-spans without
-// changing what is streamed.
-type Parted interface {
-	// SourceParts returns the parts in drain order, or nil when the
-	// source does not decompose.
-	SourceParts() []Source
+// segment is one piece of a source's stream. Ingestion drains a
+// source's segments in order, and their concatenated streams equal the
+// source's own. A segment that opens a generation starts a new step of
+// the lineage the engine's dataset records (see analysis.Dataset.Fold).
+type segment struct {
+	src   Source
+	opens bool
 }
 
-// SourceParts implements Parted: the merge's elements, in drain order.
-func (s MergeSource) SourceParts() []Source { return []Source(s) }
-
-// SourceParts implements Parted: the inner source's parts, each wrapped
-// in the same filter, so filter(merge(a, b)) decomposes into
-// filter(a), filter(b).
-func (s FilterSource) SourceParts() []Source {
-	inner, ok := s.Inner.(Parted)
-	if !ok {
-		return nil
+// segments decomposes src into the segments ingestion walks, the same
+// walk whether or not anyone observes it:
+//   - a FilterSource yields its inner source's segments, each wrapped in
+//     the same filter, so filter(merge(a, b)) is filter(a), filter(b);
+//   - a MergeSource yields each element as one segment opening no
+//     generation (merging is composition, not growth);
+//   - an AppendSource yields its inner source's segments, then one
+//     generation-opening segment per Append batch, so a fresh engine
+//     replays the lineage an engine that saw the batches live built;
+//   - any other source is one segment.
+func segments(src Source) []segment {
+	switch s := src.(type) {
+	case FilterSource:
+		segs := segments(s.Inner)
+		for i := range segs {
+			segs[i].src = FilterSource{Inner: segs[i].src, Keep: s.Keep, Desc: s.Desc}
+		}
+		return segs
+	case MergeSource:
+		segs := make([]segment, len(s))
+		for i, part := range s {
+			segs[i] = segment{src: part}
+		}
+		return segs
+	case *AppendSource:
+		s.mu.RLock()
+		appended, ends := s.appended, s.ends
+		s.mu.RUnlock()
+		segs := segments(s.inner)
+		start := 0
+		for _, end := range ends {
+			segs = append(segs, segment{src: SliceSource(appended[start:end:end]), opens: true})
+			start = end
+		}
+		return segs
+	default:
+		return []segment{{src: src}}
 	}
-	ps := inner.SourceParts()
-	out := make([]Source, len(ps))
-	for i, p := range ps {
-		out[i] = FilterSource{Inner: p, Keep: s.Keep, Desc: s.Desc}
-	}
-	return out
-}
-
-// generational is implemented by sources that grew in recorded steps:
-// their stream is the concatenation of generations(), and an engine
-// ingesting one closes a dataset generation after each step, so a
-// fresh engine replays the lineage an engine that saw the steps live
-// built (see analysis.Dataset.Fold). MergeSource parts are not
-// generations: merging is composition, not growth.
-type generational interface {
-	generations() []Source
-}
-
-// generations implements generational: the inner source's generations,
-// each wrapped in the same filter.
-func (s FilterSource) generations() []Source {
-	gens := generations(s.Inner)
-	out := make([]Source, len(gens))
-	for i, g := range gens {
-		out[i] = FilterSource{Inner: g, Keep: s.Keep, Desc: s.Desc}
-	}
-	return out
-}
-
-// generations returns src's generations: src alone unless it is
-// generational.
-func generations(src Source) []Source {
-	if g, ok := src.(generational); ok {
-		return g.generations()
-	}
-	return []Source{src}
-}
-
-// sourceParts returns src's sequential decomposition, or nil.
-func sourceParts(src Source) []Source {
-	if p, ok := src.(Parted); ok {
-		return p.SourceParts()
-	}
-	return nil
 }
 
 // ParseFilter compiles a corpus-slice expression into a run predicate

@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/model"
 )
 
@@ -290,5 +292,102 @@ func TestFilterSourceEngineSlice(t *testing.T) {
 		if r.CPUVendor != model.VendorAMD {
 			t.Fatalf("run %s is %s, want AMD", r.ID, r.CPUVendor)
 		}
+	}
+}
+
+// TestIngestionIgnoresSinks: every composition ingests the same runs in
+// the same order, with the same generation boundaries, whether nobody
+// observes the ingestion, an engine-wide sink does, or the request that
+// triggers it carries its own sink.
+func TestIngestionIgnoresSinks(t *testing.T) {
+	runs, err := GenerateCorpus(appendTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recent, err := ParseFilter("since=2012")
+	if err != nil {
+		t.Fatal(err)
+	}
+	intel, err := ParseFilter("vendor=intel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	since := func(inner Source) Source { return FilterSource{Inner: inner, Keep: recent, Desc: "since=2012"} }
+	vendor := func(inner Source) Source { return FilterSource{Inner: inner, Keep: intel, Desc: "vendor=intel"} }
+	grown := func(inner Source) Source {
+		src := NewAppendSource(inner)
+		src.Append(runs[40:50]...)
+		src.Append(runs[50:]...)
+		return src
+	}
+	x, a, b := SliceSource(runs[:40]), SliceSource(runs[:20]), SliceSource(runs[20:40])
+	shapes := []struct {
+		name string
+		src  Source
+		gens int
+	}{
+		{"X", x, 1},
+		{"Filter{X}", vendor(x), 1},
+		{"Filter{Filter{X}}", since(vendor(x)), 1},
+		{"Filter{Merge{A,B}}", vendor(MergeSource{a, b}), 1},
+		{"Merge{Filter{A},B}", MergeSource{vendor(a), b}, 1},
+		{"Append{Filter{X}}", grown(vendor(x)), 3},
+		{"Filter{Append{Filter{X}}}", since(grown(vendor(x))), 3},
+	}
+	ingest := map[string]func(src Source) (*analysis.Dataset, error){
+		"no sink": func(src Source) (*analysis.Dataset, error) {
+			return New(WithSource(src)).Dataset()
+		},
+		"engine sink": func(src Source) (*analysis.Dataset, error) {
+			return New(WithSource(src), WithSink(func(Event) {})).Dataset()
+		},
+		"request sink": func(src Source) (*analysis.Dataset, error) {
+			eng := New(WithSource(src))
+			if _, err := eng.AnalysisRequest(Request{Name: "funnel", Sink: func(Event) {}}); err != nil {
+				return nil, err
+			}
+			return eng.Dataset()
+		},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			var want []string
+			if err := sh.src.Each(0, func(r *model.Run) error {
+				want = append(want, r.ID)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("shape streams no runs")
+			}
+			var wantBounds []int
+			for _, mode := range []string{"no sink", "engine sink", "request sink"} {
+				ds, err := ingest[mode](sh.src)
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+				got := make([]string, len(ds.Raw))
+				for i, r := range ds.Raw {
+					got[i] = r.ID
+				}
+				if strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Errorf("%s: ingested %d runs %v, want the source's %d %v", mode, len(got), got, len(want), want)
+				}
+				var bounds []int
+				ds.Fold("generation-bounds", func(runs []*model.Run, _ any, _ bool) any {
+					bounds = append(bounds, len(runs))
+					return nil
+				})
+				if len(bounds) != sh.gens {
+					t.Errorf("%s: %d generations %v, want %d", mode, len(bounds), bounds, sh.gens)
+				}
+				if wantBounds == nil {
+					wantBounds = bounds
+				} else if fmt.Sprint(bounds) != fmt.Sprint(wantBounds) {
+					t.Errorf("%s: generation bounds %v, want %v as without a sink", mode, bounds, wantBounds)
+				}
+			}
+		})
 	}
 }

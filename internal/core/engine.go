@@ -124,9 +124,9 @@ type Event struct {
 	Runs int
 	// Err is the ingestion or computation error.
 	Err error
-	// Parts holds per-source boundaries of an ingestion whose source
-	// decomposes (see Parted). They are measured only when the
-	// ingesting request carries a sink; otherwise empty.
+	// Parts holds per-segment boundaries of an ingestion whose source
+	// decomposes into more than one (one per merged source, one per
+	// append batch); otherwise empty.
 	Parts []IngestPart
 	// Kernel is the kernel's own progress report (kernel events).
 	Kernel analysis.KernelEvent
@@ -147,7 +147,8 @@ func WithSink(s Sink) Option {
 	return func(e *Engine) { e.sink = s }
 }
 
-// IngestPart is one source's share of a merged corpus ingestion.
+// IngestPart is one segment's share of a corpus ingestion: a merged
+// source or an append batch.
 type IngestPart struct {
 	Source     string
 	Start, End time.Time
@@ -195,7 +196,8 @@ func (e *Engine) dataset(sink Sink) (*analysis.Dataset, error) {
 		defer e.dsDone.Store(true)
 		ev := Event{Kind: EventIngest, Source: e.src.Name(), Start: time.Now()}
 		b := analysis.NewDatasetBuilder()
-		err := e.streamSource(b, sink != nil, &ev.Parts)
+		var err error
+		ev.Parts, err = e.streamSource(b)
 		ev.End = time.Now()
 		if err != nil {
 			e.dsErr = fmt.Errorf("core: source %s: %w", e.src.Name(), err)
@@ -226,44 +228,35 @@ func (e *Engine) emit(req Sink, ev Event) {
 	}
 }
 
-// streamSource drains the corpus into the builder one generation at a
-// time (see generational), closing each generation but the last, which
-// the caller's Snapshot closes. When the ingesting request carries a
-// sink, each generation's parts (see Parted) stream separately so the
-// event gets per-source boundaries; the merged stream is identical
-// either way because part order is the composite's drain order.
-func (e *Engine) streamSource(b *analysis.DatasetBuilder, split bool, parts *[]IngestPart) error {
+// streamSource drains the corpus into the builder one segment at a
+// time (see segments), closing a dataset generation before each
+// segment that opens one; the caller's Snapshot closes the last. Every
+// segment is timed, and the parts are returned when there are at least
+// two of them, so the stream, its order and its generation boundaries
+// never depend on whether anyone observes the ingestion.
+func (e *Engine) streamSource(b *analysis.DatasetBuilder) ([]IngestPart, error) {
 	yield := func(r *model.Run) error {
 		b.Add(r)
 		return nil
 	}
-	for i, gen := range generations(e.src) {
-		if i > 0 {
+	segs := segments(e.src)
+	parts := make([]IngestPart, 0, len(segs))
+	for _, seg := range segs {
+		if seg.opens {
 			b.EndGeneration()
 		}
-		ps := []Source{gen}
-		if split {
-			if sp := sourceParts(gen); sp != nil {
-				ps = sp
-			}
-		}
-		for _, p := range ps {
-			start := time.Now()
-			before := b.Len()
-			err := p.Each(e.workers, yield)
-			if split {
-				*parts = append(*parts, IngestPart{Source: p.Name(),
-					Start: start, End: time.Now(), Runs: b.Len() - before})
-			}
-			if err != nil {
-				return err
-			}
+		start, before := time.Now(), b.Len()
+		err := seg.src.Each(e.workers, yield)
+		parts = append(parts, IngestPart{Source: seg.src.Name(),
+			Start: start, End: time.Now(), Runs: b.Len() - before})
+		if err != nil {
+			return parts, err
 		}
 	}
-	if len(*parts) < 2 {
-		*parts = nil
+	if len(parts) < 2 {
+		parts = nil
 	}
-	return nil
+	return parts, nil
 }
 
 // IngestionFailed reports whether a completed ingestion errored,

@@ -8,9 +8,11 @@
 //
 // A request's life is split into flat stages — queue wait at the
 // concurrency gate, engine build, corpus ingestion, analysis compute,
-// response serialization — each recorded as nanoseconds in a
-// RequestMetrics and aggregated by a Collector into fixed-bucket
-// histograms (per stage, and per analysis for end-to-end latency).
+// response serialization — aggregated by a Collector into fixed-bucket
+// histograms (per stage, and per analysis for end-to-end latency). A
+// RequestMetrics carries the request-owned stages (queue wait,
+// serialize); build, ingest and compute are observed once per actual
+// event.
 // The Collector serves two consumers: an enriched JSON snapshot for
 // /v1/stats (bucketed p50/p95 estimates per analysis) and a
 // Prometheus-text /metrics exposition (WritePrometheus), so existing

@@ -26,14 +26,12 @@ var Stages = []string{
 	StageQueueWait, StageEngineBuild, StageIngest, StageCompute, StageSerialize,
 }
 
-// RequestMetrics is one request's flat per-stage timing, nanoseconds
-// per stage as the request experienced them. Stages the request never
-// entered stay zero: a warm hit has no build/ingest/compute time, a 304
-// has no serialize time. EngineBuildNs, IngestNs, and ComputeNs are
-// wall-clock from the request's perspective — under single-flight
-// construction, concurrent requests for one cold scope each observe the
-// shared build they waited on. The true once-per-event costs are
-// aggregated separately from the engine's own events.
+// RequestMetrics is one request's outcome and the stages only the
+// request itself can time: queue wait at the concurrency gate and
+// response serialization (zero when never entered — a 304 has no
+// serialize time). Engine build, ingest and compute are timed once per
+// actual occurrence by the pool and the engine's own events, not per
+// request.
 type RequestMetrics struct {
 	// Analysis is the registry name served ("" for non-analysis
 	// endpoints); Params its canonical parameter string.
@@ -42,11 +40,8 @@ type RequestMetrics struct {
 	// Status is the final HTTP status.
 	Status int
 
-	QueueWaitNs   int64
-	EngineBuildNs int64
-	IngestNs      int64
-	ComputeNs     int64
-	SerializeNs   int64
+	QueueWaitNs int64
+	SerializeNs int64
 	// TotalNs covers the whole request, gate entry to response end.
 	TotalNs int64
 }
@@ -108,10 +103,8 @@ func (c *Collector) analysisHist(name string) *Histogram {
 // the request named one), and the status into the request/304/error
 // counters. Build, ingest, and compute stages are deliberately NOT
 // folded in here — those histograms aggregate the true once-per-event
-// costs via ObserveBuild/ObserveIngest/ObserveCompute, while the
-// RequestMetrics fields record the wall-clock this request spent
-// waiting on them (possibly shared under single-flight), which would
-// double count.
+// costs via ObserveBuild/ObserveIngest/ObserveCompute, once per event
+// rather than once per request that waited on it.
 func (c *Collector) ObserveRequest(m *RequestMetrics) {
 	if m == nil {
 		return

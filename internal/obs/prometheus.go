@@ -42,12 +42,14 @@ type ServerGauges struct {
 	// joiners that waited on another request's build, and evictions split
 	// by reason. PoolEvictions above remains the LRU-only count /v1/stats
 	// has always reported; the labeled exposition below adds the failure
-	// drops.
+	// drops and the live pool's resets.
 	PoolHits                  int64
 	PoolMisses                int64
 	PoolJoins                 int64
 	PoolEvictionsBuildFailed  int64
 	PoolEvictionsIngestFailed int64
+	PoolEvictionsAppendFailed int64
+	PoolEvictionsReset        int64
 
 	// Gob parse-cache counters (process-wide, all CachedSource streams).
 	ParseCacheHits          int64
@@ -127,6 +129,8 @@ func (c *Collector) WritePrometheus(w io.Writer, g ServerGauges) {
 	fmt.Fprintf(w, "specserve_pool_evictions_total{reason=\"lru\"} %d\n", g.PoolEvictions)
 	fmt.Fprintf(w, "specserve_pool_evictions_total{reason=\"build_failed\"} %d\n", g.PoolEvictionsBuildFailed)
 	fmt.Fprintf(w, "specserve_pool_evictions_total{reason=\"ingestion_failed\"} %d\n", g.PoolEvictionsIngestFailed)
+	fmt.Fprintf(w, "specserve_pool_evictions_total{reason=\"append_failed\"} %d\n", g.PoolEvictionsAppendFailed)
+	fmt.Fprintf(w, "specserve_pool_evictions_total{reason=\"reset\"} %d\n", g.PoolEvictionsReset)
 	counter("specserve_pool_hits_total", "Requests that found their scope engine resident.", g.PoolHits)
 	counter("specserve_pool_misses_total", "Requests that inserted a fresh pool entry.", g.PoolMisses)
 	counter("specserve_pool_joins_total", "Requests that waited on another request's single-flight engine build.", g.PoolJoins)

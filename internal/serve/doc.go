@@ -67,10 +67,9 @@
 // # Observability
 //
 // Every request carries an obs.RequestMetrics through its context: the
-// gate records queue wait, the handlers record engine acquisition,
-// compute, and serialize spans, and the outermost middleware folds the
-// finished request into the server's obs.Collector (and emits the
-// Config.Logf line). Engine-side events — corpus ingestion, memo-miss
+// gate records queue wait, the analysis handler records serialization,
+// and the outermost middleware folds the finished request into the
+// server's obs.Collector (and emits the Config.Logf line). Engine-side events — corpus ingestion, memo-miss
 // computations, memo hits — are timed by the engines themselves and
 // reach the same collector through the pool's engine-wide core.Sink,
 // once per actual event rather than once per request, so single-flight
@@ -89,7 +88,8 @@
 // etag_revalidated, bytes, duration, and trace_id; the state plane
 // emits its own lifecycle: pool_build (with the single-flight join
 // count — how many requests waited on that one build), pool_evict with
-// a reason (lru, build_failed, ingestion_failed), and audit_flush.
+// a reason (lru, build_failed, ingestion_failed, append_failed, or the
+// reason a live pool reset gave), and audit_flush.
 // The same instrumentation feeds counter families in /metrics
 // (specserve_pool_*, specserve_memo_*, specserve_parse_cache_*,
 // specserve_audit_queue_*) and GET /v1/pool, a deterministic snapshot

@@ -345,6 +345,8 @@ func TestMetricsNewFamilies(t *testing.T) {
 		`specserve_pool_evictions_total{reason="lru"} 0`,
 		`specserve_pool_evictions_total{reason="build_failed"} 0`,
 		`specserve_pool_evictions_total{reason="ingestion_failed"} 0`,
+		`specserve_pool_evictions_total{reason="append_failed"} 0`,
+		`specserve_pool_evictions_total{reason="reset"} 0`,
 		"specserve_memo_hits_total",
 		"specserve_memo_misses_total",
 		"specserve_parse_cache_hits_total",
@@ -356,6 +358,36 @@ func TestMetricsNewFamilies(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// A live pool also drops entries for a failed absorb and for a
+	// reset; both are counted, while /v1/stats pool_evictions stays
+	// LRU-only.
+	var broken atomic.Bool
+	live := New(Config{Live: true,
+		Base: failingFingerprint{Source: core.SliceSource(testRuns(t)), broken: &broken}})
+	get(t, live, "/v1/analyses/funnel")
+	broken.Store(true)
+	if _, err := live.AppendRuns(testRuns(t)[0]); err != nil {
+		t.Fatal(err)
+	}
+	broken.Store(false)
+	get(t, live, "/v1/analyses/funnel")
+	if _, err := live.ResetPool("file_modified"); err != nil {
+		t.Fatal(err)
+	}
+	liveBody := get(t, live, "/metrics").Body.String()
+	for _, want := range []string{
+		`specserve_pool_evictions_total{reason="lru"} 0`,
+		`specserve_pool_evictions_total{reason="append_failed"} 1`,
+		`specserve_pool_evictions_total{reason="reset"} 1`,
+	} {
+		if !strings.Contains(liveBody, want) {
+			t.Errorf("live exposition missing %q", want)
+		}
+	}
+	if st := live.Stats(); st.PoolEvictions != 0 {
+		t.Errorf("/v1/stats pool_evictions = %d, want the LRU-only 0", st.PoolEvictions)
+	}
+
 	for _, line := range strings.Split(body, "\n") {
 		if strings.HasPrefix(line, "specserve_memo_") &&
 			!strings.HasPrefix(line, "specserve_memo_hits_total ") &&
@@ -363,4 +395,18 @@ func TestMetricsNewFamilies(t *testing.T) {
 			t.Errorf("exposition serves a memo family beyond the engine memo: %q", line)
 		}
 	}
+}
+
+// failingFingerprint is a source whose fingerprint fails while broken
+// is set, so an absorb cannot refresh the entries built over it.
+type failingFingerprint struct {
+	core.Source
+	broken *atomic.Bool
+}
+
+func (f failingFingerprint) Fingerprint() (string, error) {
+	if f.broken.Load() {
+		return "", fmt.Errorf("fingerprint unavailable")
+	}
+	return core.SourceFingerprint(f.Source)
 }

@@ -436,3 +436,142 @@ func TestLiveEvictedScopeServesSameBytes(t *testing.T) {
 		t.Errorf("gen-1 value hashes to %s, want 4d8350ba6526f06b", got)
 	}
 }
+
+// filteredSplit returns testRuns minus one AMD and one Intel run, plus
+// those two: the base corpus and the runs that arrive later.
+func filteredSplit(t *testing.T) (base []*model.Run, amd, intel *model.Run) {
+	t.Helper()
+	for _, r := range testRuns(t) {
+		switch {
+		case amd == nil && r.CPUVendor == model.VendorAMD:
+			amd = r
+		case intel == nil && r.CPUVendor == model.VendorIntel:
+			intel = r
+		default:
+			base = append(base, r)
+		}
+	}
+	if amd == nil || intel == nil {
+		t.Fatal("test corpus needs an AMD and an Intel run")
+	}
+	return base, amd, intel
+}
+
+// countVendor counts the runs of one vendor.
+func countVendor(runs []*model.Run, v model.CPUVendor) int {
+	n := 0
+	for _, r := range runs {
+		if r.CPUVendor == v {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLiveFilteredBaseRefusesPostedRun: under a filtered base (specserve
+// -filter), a POSTed run outside the filter is a 422 naming it, and
+// neither the generation nor any served byte moves; a run inside it is
+// appended as usual.
+func TestLiveFilteredBaseRefusesPostedRun(t *testing.T) {
+	base, amd, intel := filteredSplit(t)
+	keep, err := core.ParseFilter("vendor=amd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Live: true,
+		Base: core.FilterSource{Inner: core.SliceSource(base), Keep: keep, Desc: "vendor=amd"}})
+	before := get(t, s, "/v1/analyses/funnel")
+	if got, want := funnelRaw(t, before.Body.Bytes()), countVendor(base, model.VendorAMD); got != want {
+		t.Fatalf("funnel.Raw = %d, want %d", got, want)
+	}
+
+	rec := postRun(t, s, resultFileBytes(t, intel))
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("POST of an Intel run = %d, want 422: %s", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "vendor=amd") {
+		t.Errorf("422 body does not name the filter: %s", rec.Body)
+	}
+	if _, err := s.AppendRuns(intel); err == nil {
+		t.Error("AppendRuns accepted a run outside the filter")
+	}
+	if g := s.Generation(); g != 0 {
+		t.Errorf("generation = %d after refused runs, want 0", g)
+	}
+	after := get(t, s, "/v1/analyses/funnel")
+	if after.Header().Get("ETag") != before.Header().Get("ETag") || after.Body.String() != before.Body.String() {
+		t.Error("a refused run changed the served funnel")
+	}
+
+	if rec := postRun(t, s, resultFileBytes(t, amd)); rec.Code != http.StatusOK {
+		t.Fatalf("POST of an AMD run = %d: %s", rec.Code, rec.Body)
+	}
+	grown := get(t, s, "/v1/analyses/funnel")
+	if got, want := funnelRaw(t, grown.Body.Bytes()), countVendor(base, model.VendorAMD)+1; got != want {
+		t.Errorf("funnel.Raw = %d after the AMD POST, want %d", got, want)
+	}
+}
+
+// TestLiveFilteredBaseWatcherGrowth: under a filtered base, the watcher
+// path refuses a new file outside the filter, so the engine that
+// absorbs growth live and the engine rebuilt after eviction serve the
+// same bytes under the same ETag.
+func TestLiveFilteredBaseWatcherGrowth(t *testing.T) {
+	base, amd, intel := filteredSplit(t)
+	dir := t.TempDir()
+	if err := core.WriteCorpus(dir, base, 0); err != nil {
+		t.Fatal(err)
+	}
+	keep, err := core.ParseFilter("vendor=amd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Live: true, PoolSize: 1,
+		Base: core.FilterSource{Inner: core.DirSource{Dir: dir}, Keep: keep, Desc: "vendor=amd"}})
+	if rec := get(t, s, "/v1/analyses/funnel"); rec.Code != http.StatusOK {
+		t.Fatalf("gen 0 = %d: %s", rec.Code, rec.Body)
+	}
+
+	// Both files land; the watcher parses them.
+	if err := core.WriteCorpus(dir, []*model.Run{amd, intel}, 0); err != nil {
+		t.Fatal(err)
+	}
+	parse := func(r *model.Run) *model.Run {
+		parsed, err := core.ParseResultFile(filepath.Join(dir, r.ID+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parsed
+	}
+	if err := s.Admit(parse(intel)); err == nil {
+		t.Fatal("Admit accepted an Intel run under vendor=amd")
+	}
+	if _, err := s.AbsorbBaseGrowth(parse(intel)); err == nil {
+		t.Fatal("AbsorbBaseGrowth accepted an Intel run under vendor=amd")
+	}
+	if g := s.Generation(); g != 0 {
+		t.Fatalf("generation = %d after a refused absorb, want 0", g)
+	}
+	if _, err := s.AbsorbBaseGrowth(parse(amd)); err != nil {
+		t.Fatal(err)
+	}
+
+	live := get(t, s, "/v1/analyses/funnel")
+	if got, want := funnelRaw(t, live.Body.Bytes()), countVendor(base, model.VendorAMD)+1; got != want {
+		t.Errorf("live funnel.Raw = %d, want %d", got, want)
+	}
+	// A request for another scope evicts the whole-corpus engine.
+	if rec := get(t, s, "/v1/analyses/funnel?filter=since=2015"); rec.Code != http.StatusOK {
+		t.Fatalf("evicting scope = %d: %s", rec.Code, rec.Body)
+	}
+	rebuilt := get(t, s, "/v1/analyses/funnel")
+	if st := s.Stats(); st.EngineBuilds != 3 {
+		t.Fatalf("engine builds = %d, want 3 (whole corpus, scope, whole corpus again)", st.EngineBuilds)
+	}
+	if rebuilt.Header().Get("ETag") != live.Header().Get("ETag") {
+		t.Fatal("the rebuilt engine's ETag differs from the live one's")
+	}
+	if !bytes.Equal(rebuilt.Body.Bytes(), live.Body.Bytes()) {
+		t.Fatalf("one ETag, two bodies:\nlive:    %.200s\nrebuilt: %.200s", live.Body, rebuilt.Body)
+	}
+}

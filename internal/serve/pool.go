@@ -123,6 +123,8 @@ type enginePool struct {
 	joins             atomic.Int64 // single-flight waiters across all builds
 	evictBuildFailed  atomic.Int64 // entries dropped because the build errored
 	evictIngestFailed atomic.Int64 // entries dropped after IngestionFailed
+	evictAppendFailed atomic.Int64 // entries dropped because an absorb failed
+	evictReset        atomic.Int64 // entries dropped by reset
 }
 
 func newEnginePool(base core.Source, live *core.AppendSource, workers, max int, metrics *obs.Collector, events *evlog.Logger) *enginePool {
@@ -366,6 +368,7 @@ func (p *enginePool) reset(reason string) int {
 	p.lru.Init()
 	p.byScope = map[string]*list.Element{}
 	p.mu.Unlock()
+	p.evictReset.Add(int64(len(dropped)))
 	for _, sc := range dropped {
 		p.events.Info("pool_evict",
 			evlog.String("scope", sc),
@@ -406,7 +409,8 @@ func (p *enginePool) entry(key string) (*poolEntry, bool) {
 // dropReason removes ent — unless the scope has already been
 // re-inserted by a later request (then the newer entry stays) — and
 // attributes the removal: "build_failed" for a construction error,
-// "ingestion_failed" for a corpus that broke after construction. LRU
+// "ingestion_failed" for a corpus that broke after construction,
+// "append_failed" for an absorb the entry could not follow. LRU
 // removals never come through here; entry() owns those.
 func (p *enginePool) dropReason(ent *poolEntry, reason, traceID string) {
 	p.mu.Lock()
@@ -425,6 +429,8 @@ func (p *enginePool) dropReason(ent *poolEntry, reason, traceID string) {
 		p.evictBuildFailed.Add(1)
 	case "ingestion_failed":
 		p.evictIngestFailed.Add(1)
+	case "append_failed":
+		p.evictAppendFailed.Add(1)
 	}
 	p.events.Warn("pool_evict",
 		evlog.String("scope", ent.scope),

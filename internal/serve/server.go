@@ -106,15 +106,16 @@ func New(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
+	base := cfg.Base
 	var live *core.AppendSource
 	if cfg.Live {
-		live = core.NewAppendSource(cfg.Base)
-		cfg.Base = live
+		live = core.NewAppendSource(base)
+		base = live
 	}
 	metrics := obs.NewCollector()
 	s := &Server{
 		cfg:     cfg,
-		pool:    newEnginePool(cfg.Base, live, cfg.Workers, cfg.PoolSize, metrics, cfg.Events),
+		pool:    newEnginePool(base, live, cfg.Workers, cfg.PoolSize, metrics, cfg.Events),
 		live:    live,
 		gate:    make(chan struct{}, cfg.MaxInFlight),
 		started: time.Now(),
@@ -403,7 +404,6 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 	poolStart := time.Now()
 	ent, err := s.pool.get(sc, t.id())
 	buildEnd := time.Now()
-	m.EngineBuildNs = buildEnd.Sub(poolStart).Nanoseconds()
 	bsp := root.ChildAt("build", poolStart)
 	bsp.FinishAt(buildEnd)
 	if err != nil {
@@ -428,9 +428,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	computeStart := time.Now()
 	v, err := ent.eng.AnalysisRequest(core.Request{Name: name, Params: params, Sink: t.sink()})
-	m.ComputeNs = time.Since(computeStart).Nanoseconds()
 	if err != nil {
 		ent.live.RUnlock()
 		// A broken corpus poisons every analysis of the scope: drop the
@@ -510,8 +508,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	m := requestMetrics(r)
-	m.Analysis = "report"
+	requestMetrics(r).Analysis = "report"
 	t := requestTracer(r)
 	root := t.root()
 	root.SetAttr("analysis", "report")
@@ -521,7 +518,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	poolStart := time.Now()
 	ent, err := s.pool.get(sc, t.id())
 	buildEnd := time.Now()
-	m.EngineBuildNs = buildEnd.Sub(poolStart).Nanoseconds()
 	bsp := root.ChildAt("build", poolStart)
 	bsp.FinishAt(buildEnd)
 	if err != nil {
@@ -551,7 +547,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	renderErr := ent.eng.WriteReport(&buf)
 	computeEnd := time.Now()
-	m.ComputeNs = computeEnd.Sub(computeStart).Nanoseconds()
 	rsp := root.ChildAt("render", computeStart)
 	rsp.FinishAt(computeEnd)
 	if renderErr != nil {
@@ -592,10 +587,10 @@ type appendResponse struct {
 // handleAppendRun ingests one result file — the request body, verbatim
 // in the same format the corpus directory holds — into the live corpus.
 // The append is synchronous: when the 200 returns, every resident
-// engine has folded the run in and every ETag has rolled.
+// engine has folded the run in and every ETag has rolled. A run outside
+// the base corpus's filter is a 422 and moves nothing.
 func (s *Server) handleAppendRun(w http.ResponseWriter, r *http.Request) {
-	m := requestMetrics(r)
-	m.Analysis = "append"
+	requestMetrics(r).Analysis = "append"
 	t := requestTracer(r)
 	root := t.root()
 	root.SetAttr("analysis", "append")
@@ -609,10 +604,13 @@ func (s *Server) handleAppendRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root.SetAttr("run_id", run.ID)
+	if err := s.Admit(run); err != nil {
+		httpError(w, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
 	appendStart := time.Now()
 	gen := s.pool.absorb([]*model.Run{run}, true, t.id())
 	appendEnd := time.Now()
-	m.ComputeNs = appendEnd.Sub(appendStart).Nanoseconds()
 	asp := root.ChildAt("append", appendStart)
 	asp.SetAttr("generation", fmt.Sprint(gen))
 	asp.FinishAt(appendEnd)
@@ -636,12 +634,10 @@ func (s *Server) Generation() uint64 {
 // base source could re-deliver — into the live corpus, synchronously:
 // the overlay, every resident engine, and every fingerprint have
 // absorbed them when it returns. The programmatic form of POST
-// /v1/runs.
+// /v1/runs. A run outside the base corpus's filter (see Admit) fails
+// the whole call, and the generation does not move.
 func (s *Server) AppendRuns(runs ...*model.Run) (uint64, error) {
-	if s.live == nil {
-		return 0, errNotLive
-	}
-	return s.pool.absorb(runs, true, ""), nil
+	return s.absorb(runs, true)
 }
 
 // AbsorbBaseGrowth folds runs whose result files the base source
@@ -649,12 +645,35 @@ func (s *Server) AppendRuns(runs ...*model.Run) (uint64, error) {
 // corpus directory. The runs reach resident engines through the delta
 // path, but stay out of the overlay: engines built later stream them
 // from the base source, and double-absorbing them here would deliver
-// them twice.
+// them twice. Runs outside the base corpus's filter are refused as in
+// AppendRuns; the watcher skips their files up front.
 func (s *Server) AbsorbBaseGrowth(runs ...*model.Run) (uint64, error) {
+	return s.absorb(runs, false)
+}
+
+// absorb admits runs and folds them into the live corpus.
+func (s *Server) absorb(runs []*model.Run, viaOverlay bool) (uint64, error) {
 	if s.live == nil {
 		return 0, errNotLive
 	}
-	return s.pool.absorb(runs, false, ""), nil
+	for _, r := range runs {
+		if err := s.Admit(r); err != nil {
+			return 0, err
+		}
+	}
+	return s.pool.absorb(runs, viaOverlay, ""), nil
+}
+
+// Admit reports whether run belongs to the served corpus. A base
+// corpus that is a core.FilterSource (specserve -filter) admits only
+// the runs its predicate keeps: every scope slices that base, so a run
+// it rejects would otherwise be served by live engines and dropped by
+// engines rebuilt from the source, under one ETag.
+func (s *Server) Admit(run *model.Run) error {
+	if f, ok := s.cfg.Base.(core.FilterSource); ok && f.Keep != nil && !f.Keep(run) {
+		return fmt.Errorf("serve: run %s is outside the corpus filter %q", run.ID, f.Desc)
+	}
+	return nil
 }
 
 // ResetPool drops every resident engine and rolls the generation: the

@@ -172,6 +172,8 @@ func (s *Server) gauges() obs.ServerGauges {
 		PoolJoins:                 s.pool.joins.Load(),
 		PoolEvictionsBuildFailed:  s.pool.evictBuildFailed.Load(),
 		PoolEvictionsIngestFailed: s.pool.evictIngestFailed.Load(),
+		PoolEvictionsAppendFailed: s.pool.evictAppendFailed.Load(),
+		PoolEvictionsReset:        s.pool.evictReset.Load(),
 
 		ParseCacheHits:          pc.Hits,
 		ParseCacheMisses:        pc.Misses,

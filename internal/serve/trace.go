@@ -94,7 +94,8 @@ func (t *tracer) event(ev core.Event) {
 }
 
 // ingest renders the corpus ingestion as an "ingest" child of the
-// root, with one "ingest-source" sub-span per part of a merged corpus.
+// root, with one "ingest-source" sub-span per ingested segment: each
+// source of a merged corpus and each append batch.
 // It fires only on the request that actually streamed the corpus, so
 // the span marks who paid, not who waited.
 func (t *tracer) ingest(ev core.Event) {

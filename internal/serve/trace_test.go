@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/obs/trace"
 )
 
@@ -291,5 +294,81 @@ func TestStatsAndMetricsSurfaceTracing(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Fatalf("metrics page lacks %q", want)
 		}
+	}
+}
+
+// TestTracingNeverChangesFilteredScope: a scope over a filtered base is
+// a filter of a filter, and tracing the request that ingests it must
+// not change what it ingests — the same body under the same ETag with
+// the trace ring on and with tracing disabled.
+func TestTracingNeverChangesFilteredScope(t *testing.T) {
+	runs := testRuns(t)
+	keep, err := core.ParseFilter("vendor=amd|intel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	amd := 0
+	for _, r := range runs {
+		if r.CPUVendor == model.VendorAMD {
+			amd++
+		}
+	}
+	var recs [2]*httptest.ResponseRecorder
+	for i, size := range []int{0, -1} {
+		s := New(Config{TraceBufferSize: size,
+			Base: core.FilterSource{Inner: core.SliceSource(runs), Keep: keep, Desc: "vendor=amd|intel"}})
+		recs[i] = get(t, s, "/v1/analyses/funnel?filter=vendor=amd")
+		if recs[i].Code != http.StatusOK {
+			t.Fatalf("TraceBufferSize %d: status %d: %s", size, recs[i].Code, recs[i].Body)
+		}
+		if got := funnelRaw(t, recs[i].Body.Bytes()); got != amd {
+			t.Errorf("TraceBufferSize %d: funnel.Raw = %d, want %d", size, got, amd)
+		}
+	}
+	if recs[0].Header().Get("ETag") != recs[1].Header().Get("ETag") {
+		t.Error("tracing changed the ETag")
+	}
+	if recs[0].Body.String() != recs[1].Body.String() {
+		t.Errorf("one ETag, two bodies:\ntraced:   %.200s\nuntraced: %.200s", recs[0].Body, recs[1].Body)
+	}
+}
+
+// TestTraceIngestSourceSpans: ingesting a merged corpus gives the
+// ingest span one ingest-source sub-span per merged source, whose run
+// counts add up to the ingest span's.
+func TestTraceIngestSourceSpans(t *testing.T) {
+	runs := testRuns(t)
+	parts := core.MergeSource{core.SliceSource(runs[:10]), core.SliceSource(runs[10:])}
+	s := New(Config{Base: parts})
+	if rec := get(t, s, "/v1/analyses/funnel"); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	ingest, ok := findSpan(getTraces(t, s, "/v1/traces").Traces[0].Root, "ingest")
+	if !ok {
+		t.Fatal("cold trace has no ingest span")
+	}
+	if v, _ := attrValue(ingest, "runs"); v != strconv.Itoa(len(runs)) {
+		t.Fatalf("ingest runs = %q, want %d", v, len(runs))
+	}
+	if len(ingest.Children) != len(parts) {
+		t.Fatalf("ingest has %d sub-spans, want one per merged source (%d)", len(ingest.Children), len(parts))
+	}
+	sum := 0
+	for i, sp := range ingest.Children {
+		if sp.Name != "ingest-source" {
+			t.Errorf("sub-span %d is %q, want ingest-source", i, sp.Name)
+		}
+		if v, _ := attrValue(sp, "source"); v != parts[i].Name() {
+			t.Errorf("sub-span %d source = %q, want %q", i, v, parts[i].Name())
+		}
+		v, _ := attrValue(sp, "runs")
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("sub-span %d runs = %q", i, v)
+		}
+		sum += n
+	}
+	if sum != len(runs) {
+		t.Errorf("sub-span runs sum to %d, want the ingest span's %d", sum, len(runs))
 	}
 }
