@@ -303,6 +303,29 @@ func BenchmarkClusterKMeans(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterSweep: the auto-k sweep behind the "cluster-sweep"
+// analysis — seeded k-means and its silhouette for every k in 2..8 over
+// the full comparable corpus, on one worker.
+func BenchmarkClusterSweep(b *testing.B) {
+	ds := dataset(b)
+	m, err := cluster.Extract(ds.Comparable, cluster.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep, err := cluster.SweepK(m, 2, 8, 14, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	printOnce("cluster-sweep", fmt.Sprintf("\n[CL] k sweep on %d runs, auto-k = %d\n%s",
+		len(m.Rows), cluster.AutoK(sweep), cluster.SweepTable(sweep)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.SweepK(m, 2, 8, 14, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkClusterHAC: agglomerative clustering over a 256-run sample
 // (the merge loop is O(n²) memory and worse time, so the sample keeps
 // the regression signal without dominating the suite).

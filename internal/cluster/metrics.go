@@ -52,9 +52,11 @@ func SSE(m *Matrix, labels []int, cents [][]float64) float64 {
 // Silhouette is the mean silhouette coefficient of the partition: per
 // row, (b−a)/max(a,b) where a is the mean distance to the row's own
 // cluster and b the smallest mean distance to another cluster. Rows in
-// singleton clusters score 0, as do rows where both means vanish. The
-// per-row O(n) scans shard across the worker pool (disjoint writes),
-// and the final mean accumulates in row order, so the value is
+// singleton clusters score 0, as do rows where both means vanish. Each
+// pairwise distance is computed once, on the worker pool, into a
+// transient matrix of n(n−1)/2 values (1.8 MB at n = 676) that is
+// dropped when the call returns. The per-cluster sums and the final
+// mean accumulate serially in row order, so the value is
 // schedule-independent. With fewer than two clusters the coefficient
 // is undefined and Silhouette returns 0.
 func Silhouette(m *Matrix, labels []int, k, workers int) float64 {
@@ -62,41 +64,77 @@ func Silhouette(m *Matrix, labels []int, k, workers int) float64 {
 	if k < 2 || n < 2 {
 		return 0
 	}
+	return silhouette(pairwiseDistances(m, workers), n, labels, k)
+}
+
+// pairwiseDistances returns the Euclidean distances between every pair
+// of m's rows as a condensed upper triangle: the distance between rows
+// i < j sits at triBase(i, n)+j. Rows of the triangle fill on the
+// worker pool (disjoint writes). EuclideanDist(a, b) and
+// EuclideanDist(b, a) are bitwise equal, so one entry serves both
+// orders of a pair.
+func pairwiseDistances(m *Matrix, workers int) []float64 {
+	n := len(m.Rows)
+	d := make([]float64, n*(n-1)/2)
+	_ = par.ForEach(n, workers, func(i int) error {
+		base := triBase(i, n)
+		for j := i + 1; j < n; j++ {
+			d[base+j] = stats.EuclideanDist(m.Rows[i], m.Rows[j])
+		}
+		return nil
+	})
+	return d
+}
+
+// triBase offsets row i of a condensed upper triangle over n rows: the
+// entry for the pair (i, j), i < j, is at triBase(i, n)+j.
+func triBase(i, n int) int {
+	return i*n - i*(i+1)/2 - i - 1
+}
+
+// silhouette is Silhouette over the condensed pairwise distances d of
+// n rows.
+func silhouette(d []float64, n int, labels []int, k int) float64 {
+	if k < 2 || n < 2 {
+		return 0
+	}
 	sizes := make([]int, k)
 	for _, l := range labels {
 		sizes[l]++
 	}
-	scores := make([]float64, n)
-	_ = par.ForEach(n, workers, func(i int) error {
-		if sizes[labels[i]] < 2 {
-			return nil // singleton: s(i) = 0 by convention
+	// sums[i*k+c] is row i's total distance to the rows of cluster c.
+	// One pass over the triangle in storage order adds each row's
+	// distances in ascending partner order, as a direct scan of the
+	// rows would: partners below i arrive while the pass is at their
+	// rows, partners above i while it is at row i.
+	sums := make([]float64, n*k)
+	for i := 0; i < n; i++ {
+		base, own, row := triBase(i, n), labels[i], sums[i*k:(i+1)*k]
+		for j := i + 1; j < n; j++ {
+			v := d[base+j]
+			row[labels[j]] += v
+			sums[j*k+own] += v
 		}
-		sums := make([]float64, k)
-		for j, row := range m.Rows {
-			if j == i {
-				continue
-			}
-			sums[labels[j]] += stats.EuclideanDist(m.Rows[i], row)
+	}
+	var sum float64
+	for i, own := range labels {
+		if sizes[own] < 2 {
+			continue // singleton: s(i) = 0 by convention
 		}
-		own := labels[i]
-		a := sums[own] / float64(sizes[own]-1)
+		row := sums[i*k : (i+1)*k]
+		a := row[own] / float64(sizes[own]-1)
 		b := -1.0
 		for c := 0; c < k; c++ {
 			if c == own || sizes[c] == 0 {
 				continue
 			}
-			if mean := sums[c] / float64(sizes[c]); b < 0 || mean < b {
+			if mean := row[c] / float64(sizes[c]); b < 0 || mean < b {
 				b = mean
 			}
 		}
 		if denom := max(a, b); denom > 0 {
-			scores[i] = (b - a) / denom
+			sum += (b - a) / denom
 		}
-		return nil
-	})
-	var sum float64
-	for _, s := range scores {
-		sum += s
 	}
 	return sum / float64(n)
 }
@@ -111,11 +149,19 @@ type SweepPoint struct {
 
 // SweepK runs seeded k-means for every k in [kmin, kmax] and reports
 // SSE and silhouette per k — the elbow/auto-k sweep. Each k uses the
-// same seed, so the sweep is as deterministic as its parts.
+// same seed, so the sweep is as deterministic as its parts. The
+// pairwise distance matrix is built once for the whole sweep and
+// shared by every k's silhouette; like Silhouette's, it is transient
+// (n(n−1)/2 values) and never outlives the call.
 func SweepK(m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, error) {
-	if kmin < 1 || kmin > kmax || kmax > len(m.Rows) {
+	n := len(m.Rows)
+	if kmin < 1 || kmin > kmax || kmax > n {
 		return nil, fmt.Errorf("cluster: sweep range [%d, %d] outside [1, %d rows]",
-			kmin, kmax, len(m.Rows))
+			kmin, kmax, n)
+	}
+	var dist []float64
+	if kmax >= 2 {
+		dist = pairwiseDistances(m, workers)
 	}
 	points := make([]SweepPoint, 0, kmax-kmin+1)
 	for k := kmin; k <= kmax; k++ {
@@ -126,7 +172,7 @@ func SweepK(m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, e
 		points = append(points, SweepPoint{
 			K:          k,
 			SSE:        res.SSE,
-			Silhouette: Silhouette(m, res.Labels, res.K, workers),
+			Silhouette: silhouette(dist, n, res.Labels, res.K),
 		})
 	}
 	return points, nil

@@ -25,18 +25,21 @@ func Quantile(xs []float64, q float64) float64 {
 // quantileSorted computes the interpolated quantile of an already sorted,
 // NaN-free, non-empty slice.
 func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantileRank(len(sorted), q)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// quantileRank locates the q-th quantile of n > 0 sorted values: the
+// order statistics lo ≤ hi it interpolates between, and the weight of
+// hi.
+func quantileRank(n int, q float64) (lo, hi int, frac float64) {
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
 }
 
 // Median is Quantile(xs, 0.5).
